@@ -83,14 +83,23 @@ def _bench_telemetry(request):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Persist the perf trajectory once the benchmark session ends."""
+    """Merge this session's rows into the perf trajectory.
+
+    Rows from benches that did not run this session are kept, so
+    running one benchmark file refreshes its own rows only.
+    """
     if not _BENCH_TELEMETRY:
         return
+    benches: Dict[str, Dict[str, float]] = {}
+    if BENCH_TELEMETRY_PATH.is_file():
+        previous = json.loads(BENCH_TELEMETRY_PATH.read_text())
+        benches.update(previous.get("benches", {}))
+    benches.update(_BENCH_TELEMETRY)
     document = {
         "generated_by": "benchmarks/conftest.py",
         "schema": "bench name -> {wall_s, sim_events, events_per_s}",
         "bench_scale": bench_scale(),
-        "benches": dict(sorted(_BENCH_TELEMETRY.items())),
+        "benches": dict(sorted(benches.items())),
     }
     BENCH_TELEMETRY_PATH.write_text(
         json.dumps(document, indent=2, sort_keys=True) + "\n"

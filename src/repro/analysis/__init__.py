@@ -12,8 +12,8 @@ equivalent:
   an identical-seed campaign and proves the event streams digest
   equal, run as ``python -m repro.cli sanitize``;
 * **simflow** (:mod:`repro.analysis.flow`) — a CFG + dataflow
-  framework with path-sensitive determinism-taint, parallel-safety and
-  fastpath effect-divergence rules, run as
+  framework with path-sensitive determinism-taint and parallel-safety
+  rules, run as
   ``python -m repro.cli lint --flow``.
 
 Rule pack
@@ -29,7 +29,6 @@ REG001   command grammar must agree with the injector register file
 ERR001   no silent ``except: pass``
 FLOW1xx  determinism taint: nondeterminism sources must not reach sinks
 FLOW2xx  parallel safety: frozen specs, worker state, pickle closures
-FLOW3xx  fastpath effect-set divergence against declared contracts
 =======  =============================================================
 
 The FLOW rules run only with ``flow=True`` (CLI ``--flow``): they are

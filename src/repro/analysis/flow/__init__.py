@@ -1,6 +1,6 @@
 """simflow — CFG + dataflow analyses over the reproduction's source.
 
-Three analysis families, all running on the per-function control-flow
+Two analysis families, both running on the per-function control-flow
 graphs built by :mod:`repro.analysis.flow.cfg` or on cross-module
 structure:
 
@@ -12,9 +12,6 @@ structure:
 * **FLOW2xx** (:mod:`.parallel`) — parallel safety: frozen specs stay
   frozen, worker-reachable module state stays immutable, closures stay
   out of the pickle boundary.
-* **FLOW3xx** (:mod:`.effects`) — fastpath effect-set divergence:
-  scalar and batched symbol paths must write the same device state,
-  modulo the declared contracts in :mod:`repro.fastpath.contract`.
 
 Run them with ``python -m repro.cli lint --flow``; accepted findings
 live in ``lint-baseline.json`` (see :mod:`.baseline`).
@@ -32,11 +29,6 @@ from repro.analysis.flow.baseline import (
 )
 from repro.analysis.flow.cfg import CFG, BasicBlock, LoopBind, build_cfg
 from repro.analysis.flow.dataflow import join, replay, solve_forward
-from repro.analysis.flow.effects import (
-    FastpathEffectContractRule,
-    extract_effects,
-    normalize_signature,
-)
 from repro.analysis.flow.parallel import (
     FrozenSpecMutationRule,
     PickleBoundaryClosureRule,
@@ -57,9 +49,6 @@ __all__ = [
     "FrozenSpecMutationRule",
     "WorkerSharedStateRule",
     "PickleBoundaryClosureRule",
-    "FastpathEffectContractRule",
-    "extract_effects",
-    "normalize_signature",
     "BaselineDelta",
     "baseline_key",
     "load_baseline",
@@ -80,5 +69,4 @@ FLOW_MODULE_RULES = (
 #: The simflow cross-module rule pack.
 FLOW_PROJECT_RULES = (
     WorkerSharedStateRule,
-    FastpathEffectContractRule,
 )

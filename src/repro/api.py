@@ -62,12 +62,6 @@ API_VERSION = "v1"
 from repro.capture import CaptureSession
 from repro.core import FaultInjectorDevice, InjectorSession
 from repro.core.faults import control_symbol_swap, replace_bytes
-from repro.fastpath import (
-    PIPELINES,
-    pipeline_override,
-    resolve_pipeline,
-    set_default_pipeline,
-)
 from repro.hw.registers import CorruptMode, InjectorConfig, MatchMode
 from repro.insight import IncidentReport, InsightStore, analyze_artifacts
 from repro.myrinet import build_paper_testbed
@@ -134,11 +128,6 @@ __all__ = [
     "replace_bytes",
     "control_symbol_swap",
     "build_paper_testbed",
-    # data-path pipeline selection (scalar reference vs batched fast path)
-    "PIPELINES",
-    "pipeline_override",
-    "resolve_pipeline",
-    "set_default_pipeline",
     # test beds and experiments
     "Testbed",
     "TestbedOptions",

@@ -43,6 +43,7 @@ naming the replacement (see docs/runtime.md).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -137,11 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="experiment names, or 'all'")
     run.add_argument("--scale", type=float, default=1.0,
                      help="duration scale factor (default 1.0)")
-    run.add_argument("--pipeline", choices=("scalar", "fast"), default=None,
-                     help="data-path implementation: the cycle-stepped "
-                          "reference ('scalar', default) or the batched "
-                          "symbol-stream engine ('fast'); see "
-                          "docs/fastpath.md")
     run.add_argument("--out", default=None,
                      help="write a combined report (.md or .txt)")
     run.add_argument("--artifacts-dir", default=None,
@@ -163,11 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--seed", type=int, default=0,
                           help="base campaign seed (default 0); per-"
                                "experiment seeds are derived from it")
-    campaign.add_argument("--pipeline", choices=("scalar", "fast"),
-                          default=None,
-                          help="data-path implementation (scalar|fast); "
-                               "exported as REPRO_PIPELINE so pooled "
-                               "workers inherit it")
     campaign.add_argument("--workers", type=int, default=1,
                           help="worker processes; >1 shards experiments "
                                "across a pool with bit-identical results "
@@ -254,10 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument(
         "--resume", action="store_true",
         help="resume from ARTIFACTS_DIR/journal.jsonl",
-    )
-    scenario_run.add_argument(
-        "--pipeline", choices=("scalar", "fast"), default=None,
-        help="data-path implementation (scalar|fast)",
     )
     scenario_run.add_argument(
         "--no-progress", action="store_true",
@@ -430,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--flow", action="store_true",
         help="additionally run the simflow dataflow rules "
-             "(FLOW1xx determinism taint, FLOW2xx parallel safety, "
-             "FLOW3xx fastpath effect divergence)",
+             "(FLOW1xx determinism taint, FLOW2xx parallel safety)",
     )
     lint.add_argument(
         "--format", choices=("text", "sarif"), default="text",
@@ -466,9 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of identical replays (default 2)")
     sanitize.add_argument("--duration-ms", type=float, default=4.0,
                           help="workload duration in simulated ms (default 4)")
-    sanitize.add_argument("--pipeline", choices=("scalar", "fast"),
-                          default=None,
-                          help="data-path implementation to replay under")
 
     golden = sub.add_parser(
         "golden",
@@ -480,16 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
                                   "against the committed corpus")
     golden_mode.add_argument("--regen", action="store_true",
                              help="rewrite the corpus from the current "
-                                  "scalar reference pipeline")
+                                  "simulation behaviour")
     golden.add_argument("--dir", default="tests/golden",
                         help="corpus directory (default tests/golden)")
-    golden.add_argument("--pipeline", choices=("scalar", "fast"),
-                        default=None,
-                        help="pipeline to check with (--check only; "
-                             "--regen always uses the scalar reference)")
     golden.add_argument("--only", default=None,
                         help="restrict to one name, from either the "
-                             "fastpath run corpus or the scenario "
+                             "run-digest corpus or the scenario "
                              "compile corpus")
     return parser
 
@@ -591,6 +570,10 @@ def _run_lint(args) -> int:
             baseline_path = None
         elif args.baseline:
             baseline_path = Path(args.baseline)
+            if not args.write_baseline and not baseline_path.is_file():
+                print(f"simlint: baseline file not found: {baseline_path}",
+                      file=sys.stderr)
+                return 2
         else:
             baseline_path = find_baseline(roots[0])
         if args.write_baseline:
@@ -1367,18 +1350,14 @@ def _run_scenario(args) -> int:
 def _run_golden(args) -> int:
     """``golden --check|--regen``: the digest corpus gate.
 
-    Covers two corpora in one pass: the fast-path run digests
+    Covers two corpora in one pass: the run digests
     (``*.digest``) and the scenario compile digests
     (``scenario_*.expected``).  ``--only NAME`` restricts to whichever
     corpus owns that name.
     """
     from pathlib import Path
 
-    from repro.fastpath.golden import (
-        GOLDEN_SCENARIOS,
-        check_corpus,
-        regen_corpus,
-    )
+    from repro.golden import GOLDEN_SCENARIOS, check_corpus, regen_corpus
     from repro.scenario.golden import (
         check_scenario_corpus,
         regen_scenario_corpus,
@@ -1386,17 +1365,17 @@ def _run_golden(args) -> int:
     from repro.scenario.library import list_scenarios
 
     directory = Path(args.dir)
-    run_fastpath = run_scenarios = True
-    fast_only = None
+    run_digests = run_scenarios = True
+    digest_only = None
     scenario_only = None
     if args.only is not None:
         if args.only in GOLDEN_SCENARIOS:
-            fast_only, run_scenarios = args.only, False
+            digest_only, run_scenarios = args.only, False
         elif args.only in list_scenarios():
-            scenario_only, run_fastpath = [args.only], False
+            scenario_only, run_digests = [args.only], False
         else:
             print(
-                f"unknown golden name {args.only!r}; fastpath corpus: "
+                f"unknown golden name {args.only!r}; run-digest corpus: "
                 f"{list(GOLDEN_SCENARIOS)}; scenario corpus: "
                 f"{list_scenarios()}",
                 file=sys.stderr,
@@ -1404,8 +1383,8 @@ def _run_golden(args) -> int:
             return 2
 
     if args.regen:
-        if run_fastpath:
-            for path in regen_corpus(args.dir, only=fast_only):
+        if run_digests:
+            for path in regen_corpus(args.dir, only=digest_only):
                 print(f"wrote {path}")
         if run_scenarios:
             for name in sorted(regen_scenario_corpus(
@@ -1414,10 +1393,8 @@ def _run_golden(args) -> int:
         return 0
 
     ok = True
-    if run_fastpath:
-        report = check_corpus(
-            args.dir, pipeline=args.pipeline, only=fast_only
-        )
+    if run_digests:
+        report = check_corpus(args.dir, only=digest_only)
         print(report.render())
         ok = ok and report.ok
     if run_scenarios:
@@ -1431,14 +1408,26 @@ def _run_golden(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes the pipe early (``python -m repro list | head``)
+    ends the run quietly instead of with a ``BrokenPipeError`` traceback.
+    """
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush does
+        # not raise a second time on the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    pipeline = getattr(args, "pipeline", None)
-    if pipeline is not None and args.command != "golden":
-        from repro.fastpath import set_default_pipeline
-        set_default_pipeline(pipeline)
 
     if args.command == "golden":
         return _run_golden(args)

@@ -28,9 +28,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.fastpath.buffer import SymbolBuffer
-from repro.fastpath.engine import FastPathEngine
-from repro.fastpath.state import resolve_pipeline
 from repro.hw.comm import CommunicationsHandler
 from repro.hw.injector import DEFAULT_PIPELINE_DEPTH, FifoInjector
 from repro.hw.phy import DEFAULT_PHY_LATENCY_PS, PhyTransceiver
@@ -83,24 +80,16 @@ class FaultInjectorDevice:
         monitor_config: Optional[MonitorConfig] = None,
         medium: str = "myrinet",
         gather_statistics: bool = True,
-        pipeline: Optional[str] = None,
     ) -> None:
         self._sim = sim
         self.name = name
         self.pipeline_depth = pipeline_depth
         self.medium = medium
         self.gather_statistics = gather_statistics
-        #: Data-path implementation: "scalar" (reference, default) or
-        #: "fast" (batched; see repro.fastpath).  ``None`` resolves to
-        #: the process default (REPRO_PIPELINE / set_default_pipeline).
-        self.pipeline = resolve_pipeline(pipeline)
 
         self._injectors: Dict[str, FifoInjector] = {
             d: FifoInjector(name=f"{name}:{d}", pipeline_depth=pipeline_depth)
             for d in DIRECTIONS
-        }
-        self._engines: Dict[str, FastPathEngine] = {
-            d: FastPathEngine(self._injectors[d]) for d in DIRECTIONS
         }
         self._crcfix: Dict[str, CrcFixupStage] = {
             d: CrcFixupStage() for d in DIRECTIONS
@@ -185,14 +174,6 @@ class FaultInjectorDevice:
                 f"direction must be one of {DIRECTIONS}, got {direction!r}"
             ) from None
 
-    def fastpath_engine(self, direction: str) -> FastPathEngine:
-        """The batched engine for one direction (diagnostics)."""
-        return self._engines[direction]
-
-    def set_pipeline(self, pipeline: str) -> None:
-        """Switch the data-path implementation (PL serial command)."""
-        self.pipeline = resolve_pipeline(pipeline)
-
     def device_reset(self) -> None:
         """RS command: reset injectors, fix-up stages, and captures."""
         for direction in DIRECTIONS:
@@ -257,10 +238,7 @@ class FaultInjectorDevice:
         in_phy.receive(len(burst))
 
         injector = self._injectors[direction]
-        if self.pipeline == "fast":
-            output = self._engines[direction].process_burst(burst)
-        else:
-            output = injector.process_burst(burst)
+        output = injector.process_burst(burst)
         # Burst-relative positions the injector rewrote: the CRC stage
         # marks exactly the frames containing them dirty.
         rewrites = injector.last_burst_rewrites
@@ -271,17 +249,10 @@ class FaultInjectorDevice:
             output = crcfix.feed(output, fixup_enabled, rewrites)
 
         if self.gather_statistics:
-            gatherer = self._stats[direction]
-            if type(output) is SymbolBuffer:
-                gatherer.feed_buffer(output)
-            else:
-                gatherer.feed(output)
+            self._stats[direction].feed(output)
         monitor = self._monitors[direction]
         if monitor.config.enabled:
-            if type(output) is SymbolBuffer:
-                monitor.observe_buffer(output)
-            else:
-                monitor.observe(output)
+            monitor.observe(output)
 
         out_phy.drive(len(output))
         self.bursts_forwarded += 1

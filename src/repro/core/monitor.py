@@ -94,23 +94,6 @@ class InjectionMonitor:
                 self._open = still_open
             self._window.append(symbol)
 
-    def observe_buffer(self, symbols: List[Symbol]) -> None:
-        """Batched :meth:`observe`: bulk-fill the rolling window.
-
-        While captures are open the scalar loop runs unchanged (each
-        symbol must be appended to every open record and close checks
-        applied in order).  With no capture in flight, the only effect
-        of observing a burst is that the window ends holding its last
-        ``pre_symbols`` symbols — ``deque.extend`` with ``maxlen``
-        produces exactly that in one C call.
-        """
-        if not self.config.enabled:
-            return
-        if self._open:
-            self.observe(symbols)
-        else:
-            self._window.extend(symbols)
-
     def on_injection(self, time_ps: int, event: InjectionEvent) -> None:
         """Injector callback: open a capture around this event."""
         if not self.config.enabled:

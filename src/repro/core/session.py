@@ -159,18 +159,6 @@ class InjectorSession:
         """Force one injection on the next even clock cycle."""
         self.send(f"IN {direction}", on_done)
 
-    def select_pipeline(self, pipeline: str,
-                        on_done: Optional[Callable[[str], None]] = None
-                        ) -> None:
-        """PL command: switch the device between the scalar reference
-        data path and the batched fast path (see docs/fastpath.md).
-
-        The switch is a *serial-command epoch*: it takes effect between
-        bursts, and the fast path's compare/FIFO state is shared with
-        the scalar path, so mid-campaign switches are symbol-exact.
-        """
-        self.send(f"PL {pipeline.upper()}", on_done)
-
     def read_stats(
         self,
         direction: str,

@@ -26,7 +26,7 @@ from repro.myrinet.packet import (
     TYPE_FIELD_LEN,
     is_route_byte,
 )
-from repro.myrinet.symbols import CONTROL_NAME_BY_VALUE, Symbol
+from repro.myrinet.symbols import Symbol
 
 
 @dataclass
@@ -74,42 +74,6 @@ class StatisticsGatherer:
                 stats.control_symbols[symbol.name] += 1
         stats.data_symbols += data_count
         self._assembler.push_burst(symbols)
-
-    def feed_buffer(self, buf) -> None:
-        """Account for a whole :class:`~repro.fastpath.buffer.SymbolBuffer`.
-
-        Byte-exact equivalent of :meth:`feed` driven by the buffer's
-        value/flag planes: data symbols are counted with ``bytes.count``
-        and control symbols are tallied run-by-run *in stream order*, so
-        the ``control_symbols`` counter acquires keys in exactly the
-        first-encounter order the scalar loop would have produced.
-        """
-        values, flags = buf.planes()
-        stats = self.stats
-        n = len(values)
-        stats.symbols += n
-        data_count = flags.count(1)
-        stats.data_symbols += data_count
-        if data_count != n:
-            control_counts = stats.control_symbols
-            names = CONTROL_NAME_BY_VALUE
-            find = flags.find
-            i = find(0)
-            while i != -1:
-                j = find(1, i)
-                if j == -1:
-                    j = n
-                k = i
-                while k < j:
-                    value = values[k]
-                    rest = values[k:j].lstrip(values[k:k + 1])
-                    run = j - k - len(rest)
-                    control_counts[names[value]] += run
-                    k += run
-                if j >= n:
-                    break
-                i = find(0, j)
-        self._assembler.push_buffer(values, flags)
 
     def _on_control(self, symbol: Symbol) -> None:
         # Counted in feed(); the assembler callback exists so STOP/GO do

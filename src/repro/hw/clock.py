@@ -62,18 +62,6 @@ class TwoPhaseClock:
         )
         return self._phase
 
-    def advance(self, segments: int) -> None:
-        """Advance ``segments`` whole odd/even cycle pairs at once.
-
-        The fast path's bulk accounting: each pass-through symbol costs
-        exactly one odd + one even cycle, so advancing ``2 * segments``
-        cycles leaves the phase unchanged and the cycle counter exactly
-        where the per-step path would have left it.
-        """
-        if segments < 0:
-            raise SimulationError(f"cannot advance {segments} segments")
-        self._cycles += 2 * segments
-
     def expect(self, phase: ClockPhase) -> None:
         """Assert the current phase; raises on violation.
 

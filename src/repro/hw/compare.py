@@ -59,28 +59,6 @@ class CompareUnit:
             self._filled += 1
         self.shifts += 1
 
-    def bulk_shift(self, tail_values: bytes, tail_flags: bytes,
-                   total: int) -> None:
-        """Account ``total`` shifts at once (fast-path bulk accounting).
-
-        ``tail_values``/``tail_flags`` are the value and D/C planes of
-        the *last* ``min(4, total)`` symbols of the stretch — enough to
-        reconstruct the exact register state the per-symbol path would
-        have reached, since each shift retains only the four most recent
-        symbols.  Evaluation accounting is the caller's job (the fast
-        path only bulk-advances stretches with no trigger activity).
-        """
-        window = self._window
-        ctl = self._ctl
-        for v, f in zip(tail_values, tail_flags):
-            window = ((window << 8) | v) & _MASK32
-            ctl = ((ctl << 1) | f) & _MASK4
-        self._window = window
-        self._ctl = ctl
-        filled = self._filled + total
-        self._filled = filled if filled < SEGMENT_LANES else SEGMENT_LANES
-        self.shifts += total
-
     def evaluate(self, config: InjectorConfig) -> bool:
         """Even-cycle operation: is the trigger line asserted?
 

@@ -23,7 +23,6 @@ left-going injector, ``R`` for the right-going one)::
     ST <D>                read statistics
     MO <D>                read monitoring capture summary
     PT                    power-on self-test
-    PL SCALAR|FAST        select the data-path pipeline (both directions)
 
 Responses are ``OK ...`` acknowledgments or ``ER <code> <reason>``.
 """
@@ -58,9 +57,6 @@ class DecoderTarget(Protocol):
 
     def monitor_summary(self, direction: str) -> str:
         """A short summary of the capture memory for one direction."""
-
-    def set_pipeline(self, pipeline: str) -> None:
-        """Select the data-path implementation ("scalar" or "fast")."""
 
 
 class _State(Enum):
@@ -251,14 +247,6 @@ class CommandDecoder:
             return
         self._ok(self._target.monitor_summary(tokens[0].upper()))
 
-    def _cmd_pl(self, tokens: list) -> None:
-        if len(tokens) < 1 or tokens[0].upper() not in ("SCALAR", "FAST"):
-            self._error(ERR_BAD_ARGUMENT, "expected SCALAR or FAST")
-            return
-        pipeline = tokens[0].lower()
-        self._target.set_pipeline(pipeline)
-        self._ok(f"pl={pipeline}")
-
     def _cmd_pt(self, tokens: list) -> None:
         from repro.hw.selftest import run_selftest
         report = run_selftest()
@@ -286,5 +274,4 @@ _HANDLERS: Dict[str, Callable] = {
     "ST": CommandDecoder._cmd_st,
     "MO": CommandDecoder._cmd_mo,
     "PT": CommandDecoder._cmd_pt,
-    "PL": CommandDecoder._cmd_pl,
 }

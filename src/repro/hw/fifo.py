@@ -90,15 +90,6 @@ class RamFifo:
         if occupancy > self.high_watermark:
             self.high_watermark = occupancy
 
-    def account_passthrough(self, count: int) -> None:
-        """Account RAM traffic for ``count`` symbols that logically
-        transited the FIFO without being individually stored (fast-path
-        bulk accounting): one write and one read per symbol, exactly
-        what the per-step push/pop pair records.
-        """
-        self.ram.writes += count
-        self.ram.reads += count
-
     @property
     def full(self) -> bool:
         return self._count == self.depth

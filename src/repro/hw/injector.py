@@ -291,43 +291,6 @@ class FifoInjector:
             return output
         return self._process_burst_fused(burst)
 
-    def advance_passthrough(
-        self,
-        count: int,
-        *,
-        armed: bool,
-        tail_values: bytes = b"",
-        tail_flags: bytes = b"",
-    ) -> None:
-        """Bulk-account ``count`` pass-through symbols (fast-path entry).
-
-        The fast path calls this for a stretch it has *proven* contains
-        no trigger activity (no match, no pending ``inject now``, FIFO
-        empty at the stretch start).  The bookkeeping mirrors exactly
-        what the scalar path would have recorded:
-
-        * ``armed=False`` — the disarmed transparent-pipe branch of
-          :meth:`process_burst`: only the symbol counters move (the
-          scalar path touches neither clock, compare registers, nor RAM
-          for a disarmed burst).
-        * ``armed=True`` — the fused branch with zero matches: clock,
-          compare window/ctl (reconstructed from the stretch's last
-          ``min(4, count)`` symbols in ``tail_values``/``tail_flags``),
-          shift and evaluation counts, RAM traffic and the FIFO
-          watermark all advance as if every symbol had been stepped.
-        """
-        if count <= 0:
-            return
-        self.symbols_processed += count
-        self._segment_index += count
-        if not armed:
-            return
-        self.clock.advance(count)
-        self.compare.bulk_shift(tail_values, tail_flags, count)
-        self.compare.evaluations += count
-        self.fifo.account_passthrough(count)
-        self.fifo.note_occupancy(min(count, self.pipeline_depth + 1))
-
     def _process_burst_fused(self, burst: List[Symbol]) -> List[Symbol]:
         config = self.config
         window, ctl = self.compare.snapshot()

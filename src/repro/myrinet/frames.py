@@ -91,6 +91,9 @@ class FrameAssembler:
         *next* data byte), and control runs collapse to one dispatch per
         run — valid because repeated GAPs beyond the first are no-ops
         and IDLE/undecodable symbols only count.
+
+        No data path in the tree calls it; ``perfbench/layers.py``
+        wraps it by name, so it stays until the benchmark drops it.
         """
         n = len(values)
         current = self._current

@@ -38,8 +38,7 @@ from repro.myrinet.slack import (
     DEFAULT_LOW_WATER,
     RateDrainedSlackBuffer,
 )
-from repro.myrinet.symbols import Symbol
-from repro.fastpath.buffer import SymbolBuffer
+from repro.myrinet.symbols import GAP, Symbol, data_symbols
 from repro.sim.kernel import Simulator
 
 #: Length of the address header inside a data packet's payload:
@@ -251,10 +250,8 @@ class HostInterface:
                                   label=f"{self.name}:tx-wait")
             return
         raw, _enqueued = self._tx_queue.popleft()
-        # Build the burst as a SymbolBuffer seeded straight from the raw
-        # packet bytes: an in-path device's fast pipeline then gets its
-        # value/flag planes for free (see repro.fastpath.buffer).
-        burst = SymbolBuffer.from_frame(raw)
+        burst = data_symbols(raw)
+        burst.append(GAP)
         self._tx_channel.send(burst)
         self.packets_sent += 1
         if self._tx_queue:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import List, Optional, Protocol, Sequence
 
 from repro.errors import ConfigurationError
-from repro.fastpath.buffer import SymbolBuffer
 from repro.sim.kernel import Simulator
 from repro.sim.timebase import from_ns
 from repro.myrinet.symbols import Symbol
@@ -87,14 +86,7 @@ class Channel:
             raise ConfigurationError(f"channel {self.name} has no sink connected")
         if not burst:
             return self._sim.now
-        if type(burst) is SymbolBuffer:
-            # Preserve the buffer's cached value/flag planes across the
-            # defensive copy so the receiving device's fast path never
-            # rebuilds them (the planes are immutable bytes — sharing
-            # them is safe).
-            symbols: List[Symbol] = SymbolBuffer.copy_from(burst)
-        else:
-            symbols = list(burst)
+        symbols = list(burst)
         start = self.free_at()
         end_of_serialization = start + len(symbols) * self.char_period_ps
         self._busy_until = end_of_serialization

@@ -39,7 +39,7 @@ class Symbol:
     streams of long campaigns allocation-free.
     """
 
-    __slots__ = ("is_data", "value", "pair")
+    __slots__ = ("is_data", "value")
 
     _data_cache: List["Symbol"] = []
     _control_cache: Dict[int, "Symbol"] = {}
@@ -49,11 +49,6 @@ class Symbol:
             raise ValueError(f"symbol value {value!r} out of byte range")
         object.__setattr__(self, "is_data", is_data)
         object.__setattr__(self, "value", value)
-        # Precomputed (D/C flag, value) byte pair.  The fast path builds
-        # whole-buffer value/flag planes by joining these pairs and
-        # slicing — a single C-level pass instead of per-symbol Python
-        # attribute reads (see repro.fastpath.buffer.SymbolBuffer).
-        object.__setattr__(self, "pair", bytes((1 if is_data else 0, value)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Symbol instances are immutable")
@@ -78,13 +73,6 @@ class Symbol:
         if not self.is_data and self.value in _CONTROL_NAMES:
             return _CONTROL_NAMES[self.value]
         return f"{self.value:#04x}"
-
-
-#: Control-symbol display name for every byte value (the fast path's
-#: batched statistics use this table instead of Symbol.name lookups).
-CONTROL_NAME_BY_VALUE: Tuple[str, ...] = tuple(
-    _CONTROL_NAMES.get(v, f"{v:#04x}") for v in range(256)
-)
 
 
 def data_symbol(value: int) -> Symbol:

@@ -59,7 +59,6 @@ class TestbedOptions:
     mcp_initial_delay_ps: int = 1 * MS
     settle_ps: int = 5 * MS
     pipeline_depth: int = 20
-    pipeline: Optional[str] = None
     device_kwargs: Dict[str, Any] = field(default_factory=dict)
     host_kwargs: Dict[str, Any] = field(default_factory=dict)
     switch_kwargs: Dict[str, Any] = field(default_factory=dict)
@@ -85,7 +84,6 @@ class Testbed:
             self.device = FaultInjectorDevice(
                 self.sim,
                 pipeline_depth=self.options.pipeline_depth,
-                pipeline=self.options.pipeline,
                 **self.options.device_kwargs,
             )
             self.session = InjectorSession(self.sim, self.device)

@@ -311,7 +311,9 @@ def spec_summary(spec: CampaignSpec) -> Dict[str, Any]:
                 "seed": testbed.seed,
                 "instrumented_host": testbed.instrumented_host,
                 "with_device": testbed.with_device,
-                "pipeline": testbed.pipeline,
+                # Always null; kept so spec_digest, the scenario compile
+                # digests and existing result stores stay valid.
+                "pipeline": None,
             }
             if testbed.topology is not None:
                 entry["testbed"]["topology"] = {

@@ -138,7 +138,9 @@ def _encode_testbed(testbed: TestbedOptions) -> Dict[str, Any]:
         "mcp_initial_delay_ps": testbed.mcp_initial_delay_ps,
         "settle_ps": testbed.settle_ps,
         "pipeline_depth": testbed.pipeline_depth,
-        "pipeline": testbed.pipeline,
+        # Always null; kept so spec_digest, the scenario compile digests
+        # and existing result stores stay valid.
+        "pipeline": None,
         "device_kwargs": _encode_device_kwargs(testbed.device_kwargs),
         "host_kwargs": _check_kwargs(
             testbed.host_kwargs, "testbed.host_kwargs"
@@ -350,8 +352,11 @@ def _decode_testbed(doc: Any, path: str) -> TestbedOptions:
         kwargs["instrumented_host"] = str(doc["instrumented_host"])
     if "with_device" in doc:
         kwargs["with_device"] = bool(doc["with_device"])
-    if "pipeline" in doc and doc["pipeline"] is not None:
-        kwargs["pipeline"] = str(doc["pipeline"])
+    if doc.get("pipeline") is not None:
+        raise ConfigurationError(
+            f"{path}.pipeline: must be null (the device has one data "
+            f"path), got {doc['pipeline']!r}"
+        )
     if "long_timeout_periods" in doc:
         kwargs["long_timeout_periods"] = _take_int(
             doc, "long_timeout_periods", path

@@ -3,10 +3,10 @@
 Every library scenario's compiled :class:`CampaignSpec` is reduced to a
 single blake2b digest over its canonical codec JSON and pinned in
 ``tests/golden/scenario_<name>.expected`` (one hex line per file).  The
-``repro.cli golden`` gate checks these alongside the fast-path run
-digests, so any change to the compiler, the traffic presets, the fabric
-generators, or a library file shows up as a failing diff — and is
-re-pinned deliberately with ``--regen``.
+``repro.cli golden`` gate checks these alongside the run digests of
+:mod:`repro.golden`, so any change to the compiler, the traffic
+presets, the fabric generators, or a library file shows up as a failing
+diff — and is re-pinned deliberately with ``--regen``.
 
 A *compile* digest, not a *run* digest: it pins the contract "this
 document means this campaign" cheaply enough to cover the whole library
@@ -67,7 +67,7 @@ def check_scenario_corpus(
     """Compare every library scenario against its committed digest.
 
     Returns ``(ok, messages)`` — one message per scenario, prefixed
-    ``ok``/``MISSING``/``MISMATCH`` in the same style as the fast-path
+    ``ok``/``MISSING``/``MISMATCH`` in the same style as the run-digest
     golden corpus.
     """
     ok = True

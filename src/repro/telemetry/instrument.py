@@ -36,7 +36,6 @@ __all__ = [
     "kernel_run",
     "device_burst",
     "injection",
-    "fastpath_burst",
     "sample_simulator",
     "sample_device",
     "publish_direction_stats",
@@ -117,39 +116,6 @@ def injection(injector_name: str, event: Any) -> None:
         registry.counter(
             "injector.lanes_unreachable", injector=injector_name
         ).inc(event.lanes_unreachable)
-
-
-def fastpath_burst(
-    engine_name: str, kind: str, bulk: int, scalar: int, reason: str = ""
-) -> None:
-    """Account one burst through the batched fast path.
-
-    ``kind`` is ``"chunk"`` (whole burst bulk-advanced), ``"split"``
-    (bulk prefix + scalar guard-window suffix) or ``"fallback"`` (whole
-    burst delegated to the scalar path); ``reason`` names the guard that
-    forced a fallback.  These are the only counters the fast pipeline
-    adds — the conformance comparator excludes exactly the ``fastpath.*``
-    namespace and requires everything else to be byte-identical between
-    pipelines (see docs/fastpath.md).
-    """
-    registry = STATE.registry
-    if registry is None:  # pragma: no cover - defensive
-        return
-    registry.counter("fastpath.bursts", engine=engine_name, kind=kind).inc()
-    if kind != "fallback":
-        registry.counter("fastpath.chunks", engine=engine_name).inc()
-    if bulk:
-        registry.counter(
-            "fastpath.symbols_skipped", engine=engine_name
-        ).inc(bulk)
-    if scalar:
-        registry.counter(
-            "fastpath.symbols_scalar", engine=engine_name
-        ).inc(scalar)
-    if reason:
-        registry.counter(
-            "fastpath.fallbacks", engine=engine_name, reason=reason
-        ).inc()
 
 
 # ---------------------------------------------------------------------------

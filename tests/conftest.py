@@ -7,33 +7,6 @@ import pytest
 from repro.sim import DeterministicRng, Simulator
 
 
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--pipeline",
-        choices=("scalar", "fast"),
-        default=None,
-        help=(
-            "run the whole suite with this default data-path pipeline "
-            "(every Device built without an explicit pipeline= uses it; "
-            "CI runs a '--pipeline fast' matrix leg — see docs/fastpath.md)"
-        ),
-    )
-
-
-def pytest_configure(config: pytest.Config) -> None:
-    pipeline = config.getoption("--pipeline")
-    if pipeline is not None:
-        from repro.fastpath import set_default_pipeline
-
-        set_default_pipeline(pipeline)
-
-
-def pytest_report_header(config: pytest.Config) -> str:
-    from repro.fastpath import default_pipeline
-
-    return f"repro pipeline: {default_pipeline()}"
-
-
 @pytest.fixture(scope="session")
 def run_flat_campaign():
     """Build a legacy *flat-layout* artifact directory programmatically.

@@ -1,6 +1,8 @@
 """Tests for the CLI and smoke tests for the fast paper experiments."""
 
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +39,28 @@ class TestCli:
         assert text.startswith("# DSN 2002 reproduction")
         assert "veHa" not in text  # tables carry counts, not payloads
         assert "checksum_drops" in text
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        """``python -m repro list | head -1``: a reader that closes the
+        pipe early must not produce a BrokenPipeError traceback.
+
+        The read end is closed before the child prints its first line:
+        ``list`` writes its whole output in one go, so a reader that
+        waits for a line would usually close after the write and never
+        break the pipe.
+        """
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        )
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        child.stderr.close()
+        child.wait(timeout=60)
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
     def test_parser_structure(self):
         parser = build_parser()

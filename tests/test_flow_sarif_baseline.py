@@ -197,6 +197,24 @@ def test_cli_flow_baseline_ratchet(tmp_path):
     assert "FLOW102" in regressed.stdout
 
 
+def test_cli_missing_baseline_is_a_usage_error(tmp_path):
+    """An explicit ``--baseline`` that does not exist exits 2 naming the
+    path, instead of silently gating without a baseline."""
+    root = write_violation_tree(tmp_path)
+    missing = tmp_path / "nowhere" / "baseline.json"
+    result = run_lint_cli("--flow", "--baseline", str(missing), str(root),
+                          cwd=tmp_path)
+    assert result.returncode == 2
+    assert str(missing) in result.stderr
+    assert result.stdout == ""
+
+    # With --write-baseline the path is the output file: it may be new.
+    written = run_lint_cli("--flow", "--baseline", str(tmp_path / "new.json"),
+                           "--write-baseline", str(root), cwd=tmp_path)
+    assert written.returncode == 0
+    assert (tmp_path / "new.json").is_file()
+
+
 def test_cli_sarif_out_writes_report(tmp_path):
     root = write_violation_tree(tmp_path)
     out = tmp_path / "lint.sarif"
@@ -226,4 +244,4 @@ def test_cli_list_rules_includes_flow_ids_only_with_flag(tmp_path):
     plain = run_lint_cli("--list-rules", cwd=tmp_path)
     flow = run_lint_cli("--list-rules", "--flow", cwd=tmp_path)
     assert "FLOW101" not in plain.stdout
-    assert "FLOW101" in flow.stdout and "FLOW304" in flow.stdout
+    assert "FLOW101" in flow.stdout and "FLOW203" in flow.stdout

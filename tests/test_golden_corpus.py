@@ -1,8 +1,6 @@
 """The golden-corpus gate: current behaviour == committed digests.
 
-Runs every pinned scenario under the suite's default pipeline (so the
-CI ``--pipeline fast`` matrix leg anchors the fast path to the same
-corpus the scalar leg checks) and compares component digests against
+Runs every pinned scenario and compares component digests against
 ``tests/golden/*.digest``.  A failure here means simulation behaviour
 moved; regen only after confirming the change is intended::
 
@@ -15,8 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.fastpath import resolve_pipeline
-from repro.fastpath.golden import (
+from repro.golden import (
     GOLDEN_SCENARIOS,
     compute_digests,
     read_digest_file,
@@ -36,9 +33,8 @@ def test_corpus_is_complete() -> None:
 
 @pytest.mark.parametrize("name", GOLDEN_SCENARIOS)
 def test_golden_digest(name: str) -> None:
-    pipeline = resolve_pipeline(None)
     expected = read_digest_file(GOLDEN_DIR / f"{name}.digest")
-    actual = compute_digests(name, pipeline)
+    actual = compute_digests(name)
     if actual["fingerprint"] != expected.get("fingerprint"):
         moved = sorted(
             component
@@ -47,8 +43,8 @@ def test_golden_digest(name: str) -> None:
             if actual.get(component) != expected.get(component)
         )
         pytest.fail(
-            f"golden digest mismatch for {name} under the {pipeline} "
-            f"pipeline; moved components: {', '.join(moved)} "
+            f"golden digest mismatch for {name}; "
+            f"moved components: {', '.join(moved)} "
             "(python -m repro golden --regen after confirming the "
             "change is intended)"
         )

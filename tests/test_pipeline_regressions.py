@@ -1,16 +1,12 @@
-"""Regression pins for scalar-path bugs surfaced by the differential harness.
+"""Regression pins for two injector data-path bugs.
 
-Satellite of the fastpath PR: every behaviour difference the conformance
-harness surfaced had to land as a *scalar-path fix plus regression test*,
-never as an allowance in the comparator.  Two bug classes were found and
-fixed while wiring the harness; each is pinned here against its exact
-failure mode:
+Each bug class is pinned here against its exact failure mode:
 
 1. **FIFO watermark off-by-one (fused vs per-step).**  The per-step path
    pushes before popping, so occupancy transiently reaches ``depth + 1``
-   (the FIFO holds ``depth + 1`` words).  The fused burst path and the
-   fast path's bulk accounting originally reported ``min(count, depth)``
-   — one less than the hardware-accurate transient — so the
+   (the FIFO holds ``depth + 1`` words).  The fused burst path
+   originally reported ``min(count, depth)`` — one less than the
+   hardware-accurate transient — so the
    ``fifo_high_watermark`` stat depended on *which loop* processed the
    burst.
 
@@ -29,7 +25,6 @@ from typing import List
 
 from repro.core.crcfix import CrcFixupStage
 from repro.core.faults import replace_bytes
-from repro.fastpath.engine import FastPathEngine
 from repro.hw.injector import FifoInjector
 from repro.hw.registers import MatchMode
 from repro.myrinet.crc8 import crc8, verify
@@ -56,12 +51,12 @@ def _frame(payload: bytes) -> List[Symbol]:
 
 def _frame_ok(symbols: List[Symbol]) -> bool:
     """True if ``symbols`` = data payload + CRC + GAP with a valid CRC."""
-    assert symbols[-1].pair == GAP.pair
+    assert symbols[-1] == GAP
     return verify([s.value for s in symbols[:-1]])
 
 
 # ----------------------------------------------------------------------
-# 1. FIFO watermark: per-step, fused, and bulk paths must agree
+# 1. FIFO watermark: per-step and fused paths must agree
 # ----------------------------------------------------------------------
 
 
@@ -87,36 +82,11 @@ def test_watermark_fused_matches_per_step() -> None:
     fused.configure(NEVER_MATCHING)
     out_fused = fused.process_burst(list(burst))
 
-    assert [s.pair for s in out_stepped] == [s.pair for s in out_fused]
+    assert out_stepped == out_fused
     assert stepped.stats == fused.stats
     # The exact transient: the FIFO holds depth + 1 words and the odd
     # cycle pushes before popping.
     assert fused.stats["fifo_high_watermark"] == PIPELINE_DEPTH + 1
-
-
-def test_watermark_bulk_passthrough_matches_scalar() -> None:
-    """The fast path's bulk accounting hits the same watermark.
-
-    ``advance_passthrough`` had the same ``min(count, depth)`` slip; an
-    engine-wrapped injector must report the identical stats dict —
-    watermark included — for a matchless armed burst it handled in bulk.
-    """
-    burst = [data_symbol(0x11) for _ in range(40)]
-
-    scalar = FifoInjector(name="scalar", pipeline_depth=PIPELINE_DEPTH)
-    scalar.configure(NEVER_MATCHING)
-    out_scalar = scalar.process_burst(list(burst))
-
-    wrapped = FifoInjector(name="fast", pipeline_depth=PIPELINE_DEPTH)
-    wrapped.configure(NEVER_MATCHING)
-    engine = FastPathEngine(wrapped)
-    out_fast = engine.process_burst(list(burst))
-
-    assert [s.pair for s in out_scalar] == [s.pair for s in out_fast]
-    assert scalar.stats == wrapped.stats
-    assert wrapped.stats["fifo_high_watermark"] == PIPELINE_DEPTH + 1
-    # Non-vacuity: the engine really took the bulk path for this burst.
-    assert engine.stats["symbols_bulk"] == len(burst)
 
 
 def test_watermark_short_burst_stays_below_transient() -> None:
@@ -173,7 +143,7 @@ def test_rewrite_positions_name_the_rewritten_symbols() -> None:
     differing = [
         index
         for index, (before, after) in enumerate(zip(burst, output))
-        if before.pair != after.pair
+        if before != after
     ]
     assert sorted(injector.last_burst_rewrites) == differing
     assert differing == [len(burst) - len(_frame(HIT_PAYLOAD)) + 1]
@@ -189,7 +159,7 @@ def test_crc_fixup_positional_dirty_fixes_the_right_frame() -> None:
 
     frame1, frame2 = delivered[:split], delivered[split:]
     # Frame 1 is byte-identical to what entered the injector.
-    assert [s.pair for s in frame1] == [s.pair for s in burst[:split]]
+    assert frame1 == burst[:split]
     # Frame 2 carries the corruption (0x18 -> 0x19) *and* a CRC
     # recomputed over the corrupted payload, so it still verifies.
     assert frame2[1].value == 0x19

@@ -1,11 +1,8 @@
-"""Property-based invariants of the scalar/fast pipeline pair.
+"""Property-based invariants of the device's FIFO injector pipeline.
 
-Ten seeded, shrinking properties over random burst sequences and random
-register files.  The central one is symbol exactness — the fast engine
-and the scalar reference agree on every observable — but the suite also
-pins single-pipeline invariants (length preservation, disarmed
-transparency, once-mode at-most-once, prefilter soundness, plane
-consistency) that the differential harness alone would not localize.
+Seeded, shrinking properties over random burst sequences and random
+register files: length preservation, disarmed transparency, once-mode
+at-most-once, and deterministic replay.
 
 All generation and ddmin-style shrinking lives in
 :mod:`tests.strategies`; no third-party dependencies.
@@ -14,19 +11,15 @@ All generation and ddmin-style shrinking lives in
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List
 
-from repro.fastpath.buffer import SymbolBuffer
-from repro.fastpath.engine import FastPathEngine
-from repro.fastpath.prefilter import CompiledMatcher
 from repro.hw.injector import FifoInjector
 from repro.hw.registers import InjectorConfig, MatchMode
-from repro.myrinet.symbols import Symbol, data_symbol, symbol_bytes
+from repro.myrinet.symbols import data_symbol, symbol_bytes
 
 from tests.strategies import (
     Bursts,
     describe_bursts,
-    gen_burst,
     gen_bursts,
     gen_config,
     minimize,
@@ -37,259 +30,83 @@ from tests.strategies import (
 PIPELINE_DEPTH = 8
 
 
-def _run_pair(
-    config: InjectorConfig, bursts: Bursts
-) -> Tuple[dict, dict]:
-    """Feed ``bursts`` to a scalar injector and an engine-wrapped one.
-
-    Returns one observation dict per pipeline: delivered bytes, stats,
-    per-burst rewrite lists, injection events, and compare-window state.
-    """
-    observations = []
-    for fast in (False, True):
-        injector = FifoInjector(name="prop", pipeline_depth=PIPELINE_DEPTH)
-        injector.configure(config)
-        events: List[tuple] = []
-        injector.on_injection(
-            lambda e: events.append((
-                e.segment_index, e.window_before, e.ctl_before,
-                e.window_after, e.ctl_after, e.lanes_rewritten,
-                e.lanes_unreachable, e.forced,
-            ))
-        )
-        front = FastPathEngine(injector) if fast else injector
-        delivered = bytearray()
-        rewrites: List[List[int]] = []
-        for burst in bursts:
-            output = front.process_burst(list(burst))
-            delivered += symbol_bytes(output)
-            delivered += bytes(
-                1 if s.is_data else 0 for s in output
-            )
-            rewrites.append(list(injector.last_burst_rewrites))
-        observations.append({
-            "delivered": bytes(delivered),
-            "stats": injector.stats,
-            "rewrites": rewrites,
-            "events": events,
-            "window": injector.compare.snapshot(),
-            "occupancy": injector.fifo.occupancy,
-        })
-    return observations[0], observations[1]
-
-
-def _divergence(config: InjectorConfig, bursts: Bursts) -> Optional[str]:
-    scalar, fast = _run_pair(config, bursts)
-    for key in scalar:
-        if scalar[key] != fast[key]:
-            return (
-                f"{key}: scalar={scalar[key]!r} fast={fast[key]!r}"
-            )
-    return None
-
-
-def _assert_exact(config: InjectorConfig, bursts: Bursts) -> None:
-    if _divergence(config, bursts) is None:
-        return
-    smallest = minimize(
-        bursts,
-        lambda candidate: _divergence(config, candidate) is not None,
-        shrink_bursts,
+def _observe(config: InjectorConfig, bursts: Bursts) -> dict:
+    """Feed ``bursts`` to a fresh injector and record every observable:
+    delivered bytes, stats, per-burst rewrite lists, injection events,
+    and compare-window state."""
+    injector = FifoInjector(name="prop", pipeline_depth=PIPELINE_DEPTH)
+    injector.configure(config)
+    events: List[tuple] = []
+    injector.on_injection(
+        lambda e: events.append((
+            e.segment_index, e.window_before, e.ctl_before,
+            e.window_after, e.ctl_after, e.lanes_rewritten,
+            e.lanes_unreachable, e.forced,
+        ))
     )
-    raise AssertionError(
-        f"pipelines diverge ({_divergence(config, smallest)}) for "
-        f"config={config!r} bursts={describe_bursts(smallest)}"
-    )
-
-
-# ----------------------------------------------------------------------
-# 1–3: exactness over the generated config space
-# ----------------------------------------------------------------------
-
-
-def test_property_exactness_random_configs() -> None:
-    """(1) Fast == scalar on every observable, random configs/bursts."""
-    def prop(rng: random.Random) -> None:
-        _assert_exact(gen_config(rng), gen_bursts(rng))
-    run_property(prop, rounds=60, name="exactness_random")
-
-
-def test_property_exactness_rearm_between_bursts() -> None:
-    """(2) Exactness holds across mid-sequence re-arms (once mode)."""
-    def prop(rng: random.Random) -> None:
-        config = gen_config(rng)
-        bursts = gen_bursts(rng, max_bursts=6)
-
-        def run(fast: bool) -> tuple:
-            injector = FifoInjector(name="p", pipeline_depth=PIPELINE_DEPTH)
-            injector.configure(config)
-            front = FastPathEngine(injector) if fast else injector
-            out = bytearray()
-            for index, burst in enumerate(bursts):
-                out += symbol_bytes(front.process_burst(list(burst)))
-                if index % 2 == 1:
-                    injector.set_match_mode(MatchMode.ONCE)
-            return bytes(out), injector.stats
-
-        assert run(False) == run(True), describe_bursts(bursts)
-    run_property(prop, rounds=40, name="exactness_rearm")
-
-
-def test_property_exactness_tiny_bursts() -> None:
-    """(3) Exactness at and below the guard margin (1..6 symbols)."""
-    def prop(rng: random.Random) -> None:
-        config = gen_config(rng)
-        bursts = [
-            [gen_burst(rng, max_len=6)[0] for _ in range(rng.randint(1, 6))]
-            for _ in range(rng.randint(2, 10))
-        ]
-        _assert_exact(config, bursts)
-    run_property(prop, rounds=40, name="exactness_tiny")
-
-
-# ----------------------------------------------------------------------
-# 4–7: single-pipeline behavioural invariants
-# ----------------------------------------------------------------------
+    delivered = bytearray()
+    rewrites: List[List[int]] = []
+    for burst in bursts:
+        output = injector.process_burst(list(burst))
+        delivered += symbol_bytes(output)
+        delivered += bytes(1 if s.is_data else 0 for s in output)
+        rewrites.append(list(injector.last_burst_rewrites))
+    return {
+        "delivered": bytes(delivered),
+        "stats": injector.stats,
+        "rewrites": rewrites,
+        "events": events,
+        "window": injector.compare.snapshot(),
+        "occupancy": injector.fifo.occupancy,
+    }
 
 
 def test_property_length_preserved() -> None:
-    """(4) Both pipelines deliver exactly one symbol per input symbol."""
+    """(1) The pipeline delivers exactly one symbol per input symbol."""
     def prop(rng: random.Random) -> None:
-        config = gen_config(rng)
-        for fast in (False, True):
-            injector = FifoInjector(name="p", pipeline_depth=PIPELINE_DEPTH)
-            injector.configure(config)
-            front = FastPathEngine(injector) if fast else injector
-            for burst in gen_bursts(rng, max_bursts=5):
-                output = front.process_burst(list(burst))
-                assert len(output) == len(burst)
+        injector = FifoInjector(name="p", pipeline_depth=PIPELINE_DEPTH)
+        injector.configure(gen_config(rng))
+        for burst in gen_bursts(rng, max_bursts=5):
+            output = injector.process_burst(list(burst))
+            assert len(output) == len(burst)
     run_property(prop, rounds=30, name="length_preserved")
 
 
 def test_property_disarmed_is_identity() -> None:
-    """(5) A disarmed injector is a transparent pipe in both pipelines."""
+    """(2) A disarmed injector is a transparent pipe."""
     def prop(rng: random.Random) -> None:
-        for fast in (False, True):
-            injector = FifoInjector(name="p", pipeline_depth=PIPELINE_DEPTH)
-            front = FastPathEngine(injector) if fast else injector
-            for burst in gen_bursts(rng, max_bursts=5):
-                output = front.process_burst(list(burst))
-                assert [s.pair for s in output] == [s.pair for s in burst]
-                assert injector.injections == 0
+        injector = FifoInjector(name="p", pipeline_depth=PIPELINE_DEPTH)
+        for burst in gen_bursts(rng, max_bursts=5):
+            output = injector.process_burst(list(burst))
+            assert output == burst
+            assert all(a is b for a, b in zip(output, burst))
+            assert injector.injections == 0
     run_property(prop, rounds=30, name="disarmed_identity")
 
 
 def test_property_once_mode_at_most_once() -> None:
-    """(6) Once mode injects at most once per arm, in both pipelines."""
+    """(3) Once mode injects at most once per arm."""
     def prop(rng: random.Random) -> None:
         config = gen_config(rng).copy(match_mode=MatchMode.ONCE)
-        for fast in (False, True):
-            injector = FifoInjector(name="p", pipeline_depth=PIPELINE_DEPTH)
-            injector.configure(config)
-            front = FastPathEngine(injector) if fast else injector
-            arms = 1
-            for index, burst in enumerate(gen_bursts(rng, max_bursts=8)):
-                front.process_burst(list(burst))
-                if index % 3 == 2:
-                    injector.set_match_mode(MatchMode.ONCE)
-                    arms += 1
-            assert injector.injections <= arms, (
-                injector.injections, arms
-            )
+        injector = FifoInjector(name="p", pipeline_depth=PIPELINE_DEPTH)
+        injector.configure(config)
+        arms = 1
+        for index, burst in enumerate(gen_bursts(rng, max_bursts=8)):
+            injector.process_burst(list(burst))
+            if index % 3 == 2:
+                injector.set_match_mode(MatchMode.ONCE)
+                arms += 1
+        assert injector.injections <= arms, (injector.injections, arms)
     run_property(prop, rounds=30, name="once_at_most_once")
 
 
 def test_property_determinism() -> None:
-    """(7) Identical inputs replay to identical observables (both)."""
+    """(4) Identical inputs replay to identical observables."""
     def prop(rng: random.Random) -> None:
         config = gen_config(rng)
         bursts = gen_bursts(rng, max_bursts=6)
-        first = _run_pair(config, bursts)
-        second = _run_pair(config, bursts)
-        assert first == second
+        assert _observe(config, bursts) == _observe(config, bursts)
     run_property(prop, rounds=15, name="determinism")
-
-
-# ----------------------------------------------------------------------
-# 8–10: fastpath component invariants
-# ----------------------------------------------------------------------
-
-
-def test_property_prefilter_sound_and_complete() -> None:
-    """(8) first_match returns the *earliest* scalar-visible match.
-
-    Brute force: shift the compare window symbol by symbol with the
-    scalar register model and record the first position where the armed
-    window matches; the prefilter must agree exactly (no false skip, no
-    early false positive) whenever it claims scannability.
-    """
-    from repro.hw.compare import CompareUnit
-
-    def prop(rng: random.Random) -> None:
-        config = gen_config(rng)
-        matcher = CompiledMatcher(config)
-        if not matcher.scannable:
-            return
-        burst = gen_burst(rng, max_len=120)
-        buffer = SymbolBuffer(burst)
-        values, flags = buffer.planes()
-
-        reference = CompareUnit()
-        expected = None
-        for position, symbol in enumerate(burst):
-            reference.shift(symbol)
-            if reference.evaluate(config):
-                expected = position
-                break
-
-        window, ctl = CompareUnit().snapshot()
-        got = matcher.first_match(values, flags, window, ctl)
-        assert got == expected, (
-            f"prefilter={got} scalar={expected} "
-            f"burst={describe_bursts([burst])} config={config!r}"
-        )
-    run_property(prop, rounds=80, name="prefilter_sound")
-
-
-def test_property_symbol_buffer_planes_consistent() -> None:
-    """(9) SymbolBuffer planes always mirror the per-symbol pairs."""
-    def prop(rng: random.Random) -> None:
-        burst = gen_burst(rng, max_len=80)
-        buffer = SymbolBuffer(burst)
-        values, flags = buffer.planes()
-        assert values == bytes(s.value for s in buffer)
-        assert flags == bytes(1 if s.is_data else 0 for s in buffer)
-        # Mutation invalidates-and-rebuilds (length-guarded laziness).
-        buffer.append(data_symbol(rng.randrange(256)))
-        values2, flags2 = buffer.planes()
-        assert values2 == bytes(s.value for s in buffer)
-        assert flags2 == bytes(1 if s.is_data else 0 for s in buffer)
-    run_property(prop, rounds=40, name="planes_consistent")
-
-
-def test_property_engine_accounting_balances() -> None:
-    """(10) Engine counters partition the symbol stream: every symbol is
-    accounted bulk or scalar, and fallbacks+fast+splits == bursts."""
-    def prop(rng: random.Random) -> None:
-        config = gen_config(rng)
-        injector = FifoInjector(name="p", pipeline_depth=PIPELINE_DEPTH)
-        injector.configure(config)
-        engine = FastPathEngine(injector)
-        total = 0
-        bursts = gen_bursts(rng, max_bursts=8)
-        for burst in bursts:
-            engine.process_burst(list(burst))
-            total += len(burst)
-        stats = engine.stats
-        assert stats["symbols_bulk"] + stats["symbols_scalar"] == total
-        assert (
-            stats["bursts_fast"] + stats["bursts_scalar"]
-            + stats["guard_splits"] == len(bursts)
-        )
-        assert sum(stats["fallback_reasons"].values()) == (
-            stats["bursts_scalar"]
-        )
-    run_property(prop, rounds=40, name="accounting_balances")
 
 
 def test_shrinker_produces_minimal_counterexample() -> None:

@@ -46,7 +46,7 @@ PUBLIC_MODULES = [
     "repro.scenario", "repro.scenario.model", "repro.scenario.codec",
     "repro.scenario.yamlish", "repro.scenario.compile",
     "repro.scenario.library", "repro.scenario.golden",
-    "repro.errors", "repro.cli", "repro.api",
+    "repro.errors", "repro.golden", "repro.cli", "repro.api",
 ]
 
 # The repro.api v1 contract: exactly these names, no more, no fewer.
@@ -61,9 +61,6 @@ API_V1_NAMES = {
     "FaultInjectorDevice", "InjectorSession", "InjectorConfig",
     "MatchMode", "CorruptMode", "replace_bytes", "control_symbol_swap",
     "build_paper_testbed",
-    # data-path pipeline selection
-    "PIPELINES", "pipeline_override", "resolve_pipeline",
-    "set_default_pipeline",
     # test beds and experiments
     "Testbed", "TestbedOptions", "build_testbed", "Experiment",
     "WorkloadConfig", "ExperimentResult", "ResultTable",

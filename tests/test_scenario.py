@@ -376,7 +376,7 @@ class TestScenarioCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "ok scenario dual-injector" in out
-        assert "sec431" not in out  # fastpath corpus skipped
+        assert "sec431" not in out  # run-digest corpus skipped
 
     def test_golden_unknown_name_lists_both_corpora(self, capsys):
         assert main(["golden", "--check", "--only", "warp"]) == 2

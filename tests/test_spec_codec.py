@@ -118,6 +118,22 @@ class TestStrictDecode:
         with pytest.raises(ConfigurationError, match="duration_ps"):
             spec_from_json(doc)
 
+    def test_non_null_testbed_pipeline_is_rejected(self):
+        """``testbed.pipeline`` survives only as an always-null field:
+        absent or null decodes, anything else is a path-qualified 400."""
+        spec = CampaignSpec.build("tb", [ExperimentSpec(
+            "x", 1 * MS, testbed=TestbedOptions(seed=3),
+        )])
+        doc = spec_to_json(spec)
+        assert doc["experiments"][0]["testbed"]["pipeline"] is None
+        assert spec_from_json(doc) == spec
+        del doc["experiments"][0]["testbed"]["pipeline"]
+        assert spec_from_json(doc) == spec
+        doc["experiments"][0]["testbed"]["pipeline"] = "fast"
+        with pytest.raises(ConfigurationError,
+                           match=r"experiments\[0\]\.testbed\.pipeline"):
+            spec_from_json(doc)
+
     def test_non_scalar_kwarg_fails_encode_with_path(self):
         spec = CampaignSpec.build("bad", [ExperimentSpec(
             "x", 1 * MS,
