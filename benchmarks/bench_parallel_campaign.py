@@ -57,19 +57,26 @@ def _spec():
     )
 
 
-def _run_variant(spec, workers: int, fabric: bool = False) -> dict:
-    """Run the spec through one executor variant; time it."""
+def _run_variant(spec, workers: int, fabric: bool = False,
+                 artifacts: bool = False) -> dict:
+    """Run the spec through one executor variant; time it.
+
+    The fabric always writes artifacts (it needs an artifacts home to
+    exercise, and measure, the incremental shard merge); ``artifacts``
+    gives the serial run the same artifact settings, so the fabric's
+    speedup is taken like for like.
+    """
     import time
 
     scratch = None
+    if fabric or artifacts:
+        scratch = tempfile.TemporaryDirectory(prefix="repro-bench-parallel-")
     if fabric:
-        # The fabric needs an artifacts home to exercise (and measure)
-        # the incremental shard merge.
-        scratch = tempfile.TemporaryDirectory(prefix="repro-bench-fabric-")
         executor = FabricExecutor(workers=workers, poll_s=0.01,
                                   artifacts_dir=scratch.name)
     elif workers == 1:
-        executor = SerialExecutor()
+        executor = SerialExecutor(
+            artifacts_dir=scratch.name if artifacts else None)
     else:
         executor = PooledExecutor(workers=workers)
     campaign = Campaign.from_spec(spec, row_builder=_table4_row)
@@ -86,6 +93,7 @@ def _run_variant(spec, workers: int, fabric: bool = False) -> dict:
             executor.timings["merge_busy_s"], 6)
         variant["merge_overlap_s"] = round(
             executor.timings["merge_overlap_s"], 6)
+    if scratch is not None:
         scratch.cleanup()
     return variant
 
@@ -97,20 +105,21 @@ def test_parallel_campaign_scaling(benchmark):
     def run_all():
         return (
             _run_variant(spec, workers=1),
+            _run_variant(spec, workers=1, artifacts=True),
             _run_variant(spec, workers=2),
             _run_variant(spec, workers=4),
             _run_variant(spec, workers=2, fabric=True),
             _run_variant(spec, workers=4, fabric=True),
         )
 
-    serial, pooled2, pooled4, fabric2, fabric4 = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
+    (serial, serial_artifacts, pooled2, pooled4,
+     fabric2, fabric4) = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     # The engine's core guarantee: identical bytes at any worker count,
     # through the pool and through the fabric alike.
     assert serial["render"] == pooled2["render"] == pooled4["render"]
     assert serial["render"] == fabric2["render"] == fabric4["render"]
+    assert serial["render"] == serial_artifacts["render"]
 
     # Overlap accounting is well-formed: overlapped merge time is a
     # subset of total merge time, which is a subset of the run.
@@ -118,20 +127,22 @@ def test_parallel_campaign_scaling(benchmark):
         assert 0 <= variant["merge_overlap_s"] <= variant["merge_busy_s"]
         assert variant["merge_busy_s"] <= variant["wall_s"]
 
-    def speedup(variant):
+    def speedup(variant, base=serial):
         return (
-            round(serial["wall_s"] / variant["wall_s"], 3)
+            round(base["wall_s"] / variant["wall_s"], 3)
             if variant["wall_s"] else 0.0
         )
 
+    # Pooled runs write no artifacts; fabric runs do, so they are
+    # compared with the serial run that writes them too.
     speedup_2w, speedup_4w = speedup(pooled2), speedup(pooled4)
-    fabric_speedup_2w = speedup(fabric2)
-    fabric_speedup_4w = speedup(fabric4)
+    fabric_speedup_2w = speedup(fabric2, serial_artifacts)
+    fabric_speedup_4w = speedup(fabric4, serial_artifacts)
     cpu_limited = cpu_count < 2
     if not cpu_limited:
         # With real cores available the sharded runs must beat serial.
         assert speedup_2w > 1.0, (serial, pooled2)
-        assert fabric_speedup_2w > 1.0, (serial, fabric2)
+        assert fabric_speedup_2w > 1.0, (serial_artifacts, fabric2)
 
     def snapshot(variant, **extra):
         doc = {"workers": variant["workers"],
@@ -143,12 +154,15 @@ def test_parallel_campaign_scaling(benchmark):
         "generated_by": "benchmarks/bench_parallel_campaign.py",
         "schema": ("variant -> {workers, wall_s"
                    "[, merge_busy_s, merge_overlap_s]}; "
-                   "speedups vs serial"),
+                   "speedup_{2,4}w: pooled vs serial, both without "
+                   "artifacts; fabric_speedup_{2,4}w: fabric vs "
+                   "serial_artifacts, both writing artifacts"),
         "bench_scale": bench_scale(),
         "experiments": len(spec),
         "cpu_count": cpu_count,
         "cpu_limited": cpu_limited,
         "serial": snapshot(serial),
+        "serial_artifacts": snapshot(serial_artifacts),
         "workers_2": snapshot(pooled2),
         "workers_4": snapshot(pooled4),
         "fabric_2": snapshot(
@@ -171,14 +185,15 @@ def test_parallel_campaign_scaling(benchmark):
         f"sharded campaign scaling ({len(spec)} experiments, "
         f"{cpu_count} schedulable cpu(s))",
         f"  serial:    {serial['wall_s']:.3f}s",
+        f"  serial + artifacts: {serial_artifacts['wall_s']:.3f}s",
         f"  2 workers: {pooled2['wall_s']:.3f}s  (speedup {speedup_2w}x)",
         f"  4 workers: {pooled4['wall_s']:.3f}s  (speedup {speedup_4w}x)",
         f"  fabric 2w: {fabric2['wall_s']:.3f}s  "
-        f"(speedup {fabric_speedup_2w}x, "
+        f"(speedup {fabric_speedup_2w}x vs serial + artifacts, "
         f"merge overlap {fabric2['merge_overlap_s']:.3f}s "
         f"of {fabric2['merge_busy_s']:.3f}s)",
         f"  fabric 4w: {fabric4['wall_s']:.3f}s  "
-        f"(speedup {fabric_speedup_4w}x, "
+        f"(speedup {fabric_speedup_4w}x vs serial + artifacts, "
         f"merge overlap {fabric4['merge_overlap_s']:.3f}s "
         f"of {fabric4['merge_busy_s']:.3f}s)",
         "  tables byte-identical across all worker counts: yes",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 from repro.myrinet.addresses import MacAddress
 from repro.myrinet.crc8 import crc8
@@ -27,6 +27,9 @@ from repro.myrinet.packet import (
     is_route_byte,
 )
 from repro.myrinet.symbols import Symbol
+
+#: ``Symbol.name`` of the control symbol carrying each value.
+_CONTROL_NAMES = tuple(Symbol(False, value).name for value in range(256))
 
 
 @dataclass
@@ -60,25 +63,26 @@ class StatisticsGatherer:
 
     def __init__(self) -> None:
         self.stats = DirectionStats()
-        self._assembler = FrameAssembler(self._on_frame, self._on_control)
+        # Control symbols are counted in feed(); STOP/GO never break
+        # frame reassembly, so the assembler needs no control handler.
+        self._assembler = FrameAssembler(self._on_frame)
 
     def feed(self, symbols: List[Symbol]) -> None:
         """Account for a burst of symbols (does not modify them)."""
         stats = self.stats
         stats.symbols += len(symbols)
-        data_count = 0
-        for symbol in symbols:
-            if symbol.is_data:
-                data_count += 1
-            else:
-                stats.control_symbols[symbol.name] += 1
-        stats.data_symbols += data_count
+        controls = [symbol.value for symbol in symbols if not symbol.is_data]
+        stats.data_symbols += len(symbols) - len(controls)
+        if controls:
+            # Tally by value first (dict order keeps first-seen order),
+            # then touch the name-keyed Counter once per distinct value.
+            tally: Dict[int, int] = {}
+            for value in controls:
+                tally[value] = tally.get(value, 0) + 1
+            counter = stats.control_symbols
+            for value, count in tally.items():
+                counter[_CONTROL_NAMES[value]] += count
         self._assembler.push_burst(symbols)
-
-    def _on_control(self, symbol: Symbol) -> None:
-        # Counted in feed(); the assembler callback exists so STOP/GO do
-        # not break frame reassembly.
-        return
 
     def _on_frame(self, frame: bytes) -> None:
         stats = self.stats

@@ -9,16 +9,20 @@ the checksum unchanged.  That is how "Have a lot of fun" became
 
 from __future__ import annotations
 
+import struct
 
 
 def ones_complement_sum(data: bytes) -> int:
-    """16-bit one's-complement sum of ``data`` (odd length zero-padded)."""
+    """16-bit one's-complement sum of ``data`` (odd length zero-padded).
+
+    The big-endian words are summed as plain integers and the end-around
+    carries folded in once at the end, which gives the same result as
+    folding after every word (RFC 1071 §2): the sum is 0 only when every
+    word is 0.
+    """
     if len(data) % 2:
         data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
+    total = sum(struct.unpack(f">{len(data) // 2}H", data))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return total

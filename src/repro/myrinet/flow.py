@@ -78,9 +78,11 @@ class TxFlowState:
         """Quiet time after which a STOP state decays to GO."""
         return self._decay_ps
 
-    def on_stop_symbol(self) -> None:
-        """A STOP symbol arrived: stop, and re-arm the timeout counter."""
-        self.stops_received += 1
+    def on_stop_symbol(self, count: int = 1) -> None:
+        """A run of ``count`` STOP symbols arrived: stop, and re-arm the
+        timeout counter (the run's symbols share one arrival time, so the
+        run is one state update)."""
+        self.stops_received += count
         self._stopped = True
         self._last_activity = self._sim.now
 
@@ -99,9 +101,9 @@ class TxFlowState:
 
     def on_control_symbol(self, symbol: Symbol) -> None:
         """Dispatch a decoded flow-control symbol."""
-        if symbol == STOP:
+        if symbol is STOP:
             self.on_stop_symbol()
-        elif symbol == GO:
+        elif symbol is GO:
             self.on_go_symbol()
 
     def hold(self) -> None:

@@ -16,7 +16,13 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.myrinet.symbols import GAP, IDLE, Symbol, decode_control
+from repro.myrinet.symbols import (
+    CONTROL_DECODE,
+    GAP,
+    IDLE,
+    Symbol,
+    decode_control,
+)
 
 #: Default maximum frame size in bytes (route + type + payload + CRC).
 DEFAULT_MAX_FRAME = 4096
@@ -64,22 +70,44 @@ class FrameAssembler:
             self._on_control(decoded)
 
     def push_burst(self, burst: List[Symbol]) -> None:
-        """Feed a burst of symbols (fused loop over data runs)."""
+        """Feed a burst of symbols.
+
+        Same result as :meth:`push` per symbol, with control values
+        decoded inline from :data:`CONTROL_DECODE` and the overflow flag
+        kept in a local for the length of the burst.
+        """
         current = self._current
         max_frame = self._max_frame
         append = current.append
-        for symbol in burst:
-            if symbol.is_data:
-                if self._overflowed:
+        decode = CONTROL_DECODE
+        overflowed = self._overflowed
+        try:
+            for symbol in burst:
+                if symbol.is_data:
+                    if overflowed:
+                        continue
+                    if len(current) >= max_frame:
+                        overflowed = True
+                        self.oversize_frames += 1
+                        current.clear()
+                        continue
+                    append(symbol.value)
                     continue
-                if len(current) >= max_frame:
-                    self._overflowed = True
-                    self.oversize_frames += 1
-                    current.clear()
-                    continue
-                append(symbol.value)
-                continue
-            self.push(symbol)
+                decoded = decode[symbol.value]
+                if decoded is GAP:
+                    if overflowed:
+                        overflowed = False
+                    elif current:
+                        frame = bytes(current)
+                        current.clear()
+                        self.frames_emitted += 1
+                        self._on_frame(frame)
+                elif decoded is None:
+                    self.undecodable_controls += 1
+                elif decoded is not IDLE and self._on_control is not None:
+                    self._on_control(decoded)
+        finally:
+            self._overflowed = overflowed
 
     def push_buffer(self, values: bytes, flags: bytes) -> None:
         """Feed a whole buffer from its value/flag planes.

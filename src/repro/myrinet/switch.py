@@ -45,11 +45,12 @@ from repro.myrinet.link import Channel, Link
 from repro.myrinet.packet import ROUTE_PORT_MASK
 from repro.myrinet.slack import DEFAULT_CAPACITY, DEFAULT_HIGH_WATER, DEFAULT_LOW_WATER
 from repro.myrinet.symbols import (
+    CONTROL_DECODE,
     GAP,
-    IDLE,
+    GO,
+    STOP,
     Symbol,
     data_symbol,
-    decode_control,
 )
 
 # Folding a zero byte into a running CRC-8 is a plain table lookup.
@@ -79,7 +80,7 @@ class _Port:
         self.claim_id = 0
         self.held: Optional[int] = None
         self.contrib = 0
-        self.buffer: Deque[Symbol] = deque()
+        self.buffer: List[Symbol] = []
         self.wait_output: Optional[int] = None
         self.pending_route = 0
         self.timeout_event: Optional[Event] = None
@@ -229,23 +230,78 @@ class MyrinetSwitch:
         if state.flow is not None:
             # Any received symbol re-arms the short-timeout counter.
             state.flow.tx_state.note_activity()
+        self._consume(port, burst, touched, replay=False)
+        self._drain_grants(touched)
+        for out in sorted(touched):
+            self._flush_output(out)
+        self._update_backpressure(port)
+
+    # ------------------------------------------------------------------
+    # input state machine, a run at a time
+    # ------------------------------------------------------------------
+
+    def _consume(self, i: int, symbols: List[Symbol], touched: set,
+                 replay: bool) -> int:
+        """Run ``symbols`` through input ``i``'s state machine.
+
+        Symbols are taken a run at a time: a run of data symbols is one
+        step of the mode it arrives in, and a run of identical STOP,
+        IDLE or undecodable control symbols is one update.  GO and GAP
+        are taken one at a time: a GO may fire the unblock callback, and
+        what a GAP does depends on the mode it leaves behind.
+
+        ``replay`` is set when ``symbols`` is the input's own slack
+        buffer being drained after a grant.  Replay stops at the first
+        symbol met while the input is waiting or draining (that symbol
+        and the rest stay buffered), and it touches the claimed output
+        only when a held byte actually moves to it.  Returns how many
+        symbols were consumed.
+        """
+        state = self._ports[i]
         data_cache = Symbol._data_cache
         table = _CRC_TABLE
+        decode = CONTROL_DECODE
         index = 0
-        length = len(burst)
+        length = len(symbols)
         while index < length:
-            symbol = burst[index]
-            # Fast path: a run of data symbols streaming through an
-            # established claim — the dominant case under load.
-            if symbol.is_data and state.mode == _MODE_FORWARDING:
+            symbol = symbols[index]
+            mode = state.mode
+            if replay and (mode == _MODE_WAITING or mode == _MODE_DRAINING):
+                break
+            if not symbol.is_data:
+                decoded = decode[symbol.value]
+                if decoded is GAP:
+                    self._on_gap(i, touched)
+                    index += 1
+                elif decoded is GO:
+                    assert state.flow is not None
+                    state.flow.tx_state.on_go_symbol()
+                    index += 1
+                else:
+                    # STOP, IDLE or undecodable: the run of identical
+                    # symbols is one update.
+                    end = index + 1
+                    while end < length and symbols[end] is symbol:
+                        end += 1
+                    if decoded is STOP:
+                        assert state.flow is not None
+                        state.flow.tx_state.on_stop_symbol(end - index)
+                    elif decoded is None:
+                        state.undecodable_controls += end - index
+                    index = end
+                continue
+            if mode == _MODE_FORWARDING:
+                # A run of data symbols streaming through an established
+                # claim: the dominant case under load.
                 out = state.claim_output
                 outbox = self._ports[out].outbox
                 held = state.held
+                moved = held is not None
                 contrib = state.contrib
                 dropped = 0
                 outbox_cap = self._outbox_capacity
                 while index < length:
-                    symbol = burst[index]
+                    symbol = symbols[index]
                     if not symbol.is_data:
                         break
                     if held is not None:
@@ -254,50 +310,36 @@ class MyrinetSwitch:
                         else:
                             outbox.append(data_cache[held])
                         contrib = table[contrib]
+                        moved = True
                     held = symbol.value
                     index += 1
                 state.held = held
                 state.contrib = contrib
                 state.symbols_dropped += dropped
                 state.outbox_drops += dropped
-                touched.add(out)
+                if moved or not replay:
+                    touched.add(out)
                 continue
-            self._process_symbol(port, symbol, touched)
-            index += 1
-        self._drain_grants(touched)
-        for out in sorted(touched):
-            self._flush_output(out)
-        self._update_backpressure(port)
-
-    # ------------------------------------------------------------------
-    # per-symbol state machine
-    # ------------------------------------------------------------------
-
-    def _process_symbol(self, i: int, symbol: Symbol, touched: set) -> None:
-        state = self._ports[i]
-        if not symbol.is_data:
-            decoded = decode_control(symbol.value)
-            if decoded is None:
-                state.undecodable_controls += 1
-                return
-            if decoded is GAP:
-                self._on_gap(i, touched)
-            elif decoded is IDLE:
-                return
-            else:
-                assert state.flow is not None
-                state.flow.on_control_symbol(decoded)
-            return
-
-        if state.mode == _MODE_IDLE:
-            self._on_route_byte(i, symbol.value, touched)
-        elif state.mode == _MODE_FORWARDING:
-            self._forward_data(i, symbol.value, touched)
-        elif state.mode in (_MODE_WAITING, _MODE_DRAINING):
-            self._buffer_symbol(i, symbol)
-        else:  # discarding
-            state.symbols_dropped += 1
-            state.discard_drops += 1
+            if mode == _MODE_IDLE:
+                self._on_route_byte(i, symbol.value, touched)
+                index += 1
+                continue
+            end = index + 1
+            while end < length and symbols[end].is_data:
+                end += 1
+            if mode == _MODE_DISCARDING:
+                state.symbols_dropped += end - index
+                state.discard_drops += end - index
+            else:  # waiting or draining (on_burst only)
+                buffer = state.buffer
+                room = self._slack_capacity - len(buffer)
+                if end - index > room:
+                    over = end - index - room
+                    state.symbols_dropped += over
+                    state.waitbuf_drops += over
+                buffer.extend(symbols[index:index + min(room, end - index)])
+            index = end
+        return index
 
     def _on_route_byte(self, i: int, byte: int, touched: set) -> None:
         state = self._ports[i]
@@ -328,21 +370,6 @@ class MyrinetSwitch:
         state.contrib = crc8_update(0, state.pending_route)
         state.claim_id += 1
         self._arm_timeout(i, waiting=False)
-
-    def _forward_data(self, i: int, byte: int, touched: set) -> None:
-        state = self._ports[i]
-        out = state.claim_output
-        assert out is not None
-        output = self._ports[out]
-        if state.held is not None:
-            if len(output.outbox) >= self._outbox_capacity:
-                state.symbols_dropped += 1
-                state.outbox_drops += 1
-            else:
-                output.outbox.append(data_symbol(state.held))
-            state.contrib = crc8_update(state.contrib, 0)
-            touched.add(out)
-        state.held = byte
 
     def _buffer_symbol(self, i: int, symbol: Symbol) -> None:
         state = self._ports[i]
@@ -414,11 +441,9 @@ class MyrinetSwitch:
 
     def _replay_buffer(self, j: int, touched: set) -> None:
         """Push a formerly-waiting input's buffered symbols through the FSM."""
-        state = self._ports[j]
-        while state.buffer and state.mode not in (_MODE_WAITING,
-                                                  _MODE_DRAINING):
-            symbol = state.buffer.popleft()
-            self._process_symbol(j, symbol, touched)
+        buffer = self._ports[j].buffer
+        if buffer:
+            del buffer[:self._consume(j, buffer, touched, replay=True)]
         self._update_backpressure(j)
 
     def _arm_timeout(self, i: int, waiting: bool) -> None:
@@ -481,13 +506,16 @@ class MyrinetSwitch:
         """Drop the head frame of a timed-out waiting input, then resume."""
         state = self._ports[i]
         state.wait_output = None
+        buffer = state.buffer
         dropped_gap = False
-        while state.buffer:
-            symbol = state.buffer.popleft()
-            state.symbols_dropped += 1
-            if not symbol.is_data and decode_control(symbol.value) is GAP:
+        cut = len(buffer)
+        for index, symbol in enumerate(buffer):
+            if not symbol.is_data and CONTROL_DECODE[symbol.value] is GAP:
                 dropped_gap = True
+                cut = index + 1
                 break
+        state.symbols_dropped += cut
+        del buffer[:cut]
         if dropped_gap:
             state.mode = _MODE_IDLE
             self._replay_buffer(i, touched)

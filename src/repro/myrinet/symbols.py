@@ -136,13 +136,7 @@ def decode_control(value: int) -> Optional[Symbol]:
        an erratum and implement the principled rule: 0x08 decodes to GAP,
        0x02 decodes to GO (matching the paper's second example).
     """
-    exact = _CONTROL_NAMES.get(value)
-    if exact is not None:
-        return control_symbol(value)
-    parents = _SINGLE_FAULT_PARENTS.get(value)
-    if parents is not None and len(parents) == 1:
-        return control_symbol(parents[0])
-    return None
+    return CONTROL_DECODE[value]
 
 
 def _build_single_fault_table() -> Dict[int, Tuple[int, ...]]:
@@ -159,6 +153,22 @@ def _build_single_fault_table() -> Dict[int, Tuple[int, ...]]:
 
 
 _SINGLE_FAULT_PARENTS = _build_single_fault_table()
+
+
+def _decode_uncached(value: int) -> Optional[Symbol]:
+    if value in _CONTROL_NAMES:
+        return control_symbol(value)
+    parents = _SINGLE_FAULT_PARENTS.get(value)
+    if parents is not None and len(parents) == 1:
+        return control_symbol(parents[0])
+    return None
+
+
+#: What :func:`decode_control` returns for each control value, indexed by
+#: value: the hot receive loops (switch, framer) index it directly.
+CONTROL_DECODE: Tuple[Optional[Symbol], ...] = tuple(
+    _decode_uncached(value) for value in range(256)
+)
 
 
 def hamming_distance(a: int, b: int) -> int:

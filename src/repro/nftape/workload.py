@@ -16,7 +16,8 @@ node, or delivered with corrupted content) — the §4.4 dichotomy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import ConfigurationError
 from repro.hostsim.apps import EchoResponder, FloodPing
@@ -57,17 +58,29 @@ class WorkloadConfig:
             raise ConfigurationError("burst_alpha must be positive")
 
 
-def _filler_byte(seq: int, index: int, alphabet: List[int]) -> int:
+def _filler_byte(seq: int, index: int, alphabet: Sequence[int]) -> int:
     """Deterministic filler both sender and sink can compute."""
     return alphabet[(seq * 31 + index * 7) % len(alphabet)]
+
+
+@lru_cache(maxsize=4096)
+def _filler(seq: int, length: int, alphabet: bytes) -> bytes:
+    """The ``length`` filler bytes of message ``seq``: byte ``i`` is
+    ``_filler_byte(seq, i, alphabet)``.  Cached so the sink's check of a
+    message reuses the bytes its sender built."""
+    size = len(alphabet)
+    start = seq * 31
+    return bytes(
+        alphabet[k % size] for k in range(start, start + 7 * length, 7)
+    )
 
 
 class _ValidatingSink:
     """Counts received messages and checks them for active-fault evidence."""
 
-    def __init__(self, stack: HostStack, alphabet: List[int]) -> None:
+    def __init__(self, stack: HostStack, alphabet: Sequence[int]) -> None:
         self._stack = stack
-        self._alphabet = alphabet
+        self._alphabet = bytes(alphabet)
         self.received = 0
         self.misdeliveries = 0
         self.corrupted = 0
@@ -87,10 +100,8 @@ class _ValidatingSink:
             return
         seq = int.from_bytes(payload[6:10], "big")
         filler = payload[_HEADER_LEN:]
-        for index, byte in enumerate(filler):
-            if byte != _filler_byte(seq, index, self._alphabet):
-                self.corrupted += 1
-                return
+        if filler != _filler(seq, len(filler), self._alphabet):
+            self.corrupted += 1
 
 
 class _PairSender:
@@ -101,7 +112,7 @@ class _PairSender:
         stack: HostStack,
         dest: MacAddress,
         config: WorkloadConfig,
-        alphabet: List[int],
+        alphabet: bytes,
         start_seq: int,
     ) -> None:
         self._stack = stack
@@ -117,10 +128,7 @@ class _PairSender:
         payload = (
             self._dest.to_bytes()
             + self.seq.to_bytes(4, "big")
-            + bytes(
-                _filler_byte(self.seq, i, self._alphabet)
-                for i in range(filler_len)
-            )
+            + _filler(self.seq, filler_len, self._alphabet)
         )
         self._stack.send_udp(self._dest, WORKLOAD_PORT, payload)
         self.sent += 1
@@ -138,10 +146,10 @@ class AllPairsWorkload:
         self._network = network
         self.config = config or WorkloadConfig()
         self._rng = rng or network.rng.fork("workload")
-        self._alphabet = [
+        self._alphabet = bytes(
             b for b in range(0x20, 0x7F)
             if b not in self.config.forbidden_bytes
-        ]
+        )
         if not self._alphabet:
             raise ConfigurationError(
                 "forbidden_bytes excludes every printable payload byte"

@@ -14,6 +14,7 @@ from repro.myrinet.flow import (
 )
 from repro.myrinet.link import Channel, Link
 from repro.myrinet.symbols import GAP, GO, STOP
+from repro.sim import Simulator
 
 CHAR = 12_500
 DECAY = SHORT_TIMEOUT_PERIODS * CHAR
@@ -106,6 +107,34 @@ class TestTxFlowState:
         assert not state.blocked()
         state.on_control_symbol(GAP)  # not flow control: ignored
         assert not state.blocked()
+
+    @pytest.mark.parametrize("run", [1, 2, 16, 40])
+    @pytest.mark.parametrize("go_first", [False, True])
+    def test_stop_run_equals_single_stops(self, run, go_first):
+        """A run of N STOPs taken as one call leaves the state exactly as
+        N single calls do, at and around the decay boundary."""
+        states = []
+        for batched in (False, True):
+            sim = Simulator()
+            state = TxFlowState(sim, CHAR)
+            if go_first:
+                state.on_stop_symbol()
+                state.on_go_symbol()
+            sim.run_for(3 * CHAR)
+            if batched:
+                state.on_stop_symbol(run)
+            else:
+                for _ in range(run):
+                    state.on_stop_symbol()
+            observed = []
+            for step in (0, DECAY // 2, DECAY // 2, 1):
+                sim.run_for(step)
+                observed.append((state.stops_received, state.blocked(),
+                                 state.earliest_resume(),
+                                 state.timeout_recoveries))
+            states.append(observed)
+        assert states[0] == states[1]
+        assert states[1][0][0] == run + go_first
 
     def test_earliest_resume_tracks_last_activity(self, sim):
         state = TxFlowState(sim, CHAR)

@@ -59,6 +59,36 @@ class TestChecksum:
         swapped = b"".join(words)
         assert internet_checksum(swapped) == internet_checksum(data)
 
+    @staticmethod
+    def _folding_sum(data: bytes) -> int:
+        """RFC 1071 reference: fold the end-around carry after each word."""
+        if len(data) % 2:
+            data += b"\x00"
+        total = 0
+        for i in range(0, len(data), 2):
+            total += (data[i] << 8) | data[i + 1]
+            total = (total & 0xFFFF) + (total >> 16)
+        return total
+
+    @settings(max_examples=400)
+    @given(st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.sampled_from([0x00, 0xFF, 0x01, 0xFE]),
+                 max_size=200).map(bytes),
+    ))
+    def test_sum_equals_per_word_folding(self, data):
+        """Summing the words first and folding once at the end gives the
+        per-word folding result, including the all-zero and 0xFFFF-heavy
+        cases where one's-complement sums wrap the most."""
+        assert ones_complement_sum(data) == self._folding_sum(data)
+
+    def test_sum_is_zero_only_for_all_zero_words(self):
+        for data in (b"", b"\x00", b"\x00" * 7, b"\x00\x00\x00\x00"):
+            assert ones_complement_sum(data) == 0
+        for data in (b"\xff\xff", b"\xff\xff" * 9, b"\x00\x01" + b"\xff\xfe"):
+            assert ones_complement_sum(data) == 0xFFFF
+            assert ones_complement_sum(data) == self._folding_sum(data)
+
     def test_have_a_lot_of_fun(self):
         """The paper's exact example string."""
         original = b"Have a lot of fun"

@@ -198,6 +198,42 @@ class TestWorkload:
         sink._on_message(mac, None, 0, other.to_bytes() + good[6:])
         assert sink.misdeliveries == 1
 
+    @pytest.mark.parametrize("forbidden", [set(), {0x20, 0x41, 0x7E},
+                                           set(range(0x30, 0x70))])
+    def test_filler_equals_filler_bytes(self, forbidden):
+        from repro.nftape.workload import _filler, _filler_byte
+        alphabet = [b for b in range(0x20, 0x7F) if b not in forbidden]
+        for seq in (0, 1, 7, 1_000_001, 2**31 + 5):
+            for length in (0, 1, 2, 13, 54, 300):
+                expected = bytes(_filler_byte(seq, i, alphabet)
+                                 for i in range(length))
+                assert _filler(seq, length, bytes(alphabet)) == expected
+                assert not set(expected) & forbidden
+
+    def test_sink_flags_one_flipped_filler_byte(self):
+        """Every filler position is checked: flipping any single byte
+        counts exactly one corrupted message."""
+        from repro.hostsim.sockets import HostStack
+        from repro.nftape.workload import _ValidatingSink, _filler
+        testbed = Testbed(TestbedOptions(seed=3))
+        testbed.settle()
+        stack = HostStack(testbed.sim,
+                          testbed.network.host("pc").interface)
+        alphabet = [b for b in range(0x20, 0x7F) if b != 0x55]
+        sink = _ValidatingSink(stack, alphabet)
+        mac = stack.interface.mac
+        seq = 4_000_017
+        header = mac.to_bytes() + seq.to_bytes(4, "big")
+        filler = _filler(seq, 54, bytes(alphabet))
+        sink._on_message(mac, None, 0, header + filler)
+        assert sink.corrupted == 0
+        for position in (0, 1, 27, 53):
+            flipped = bytearray(filler)
+            flipped[position] ^= 0x01
+            sink._on_message(mac, None, 0, header + bytes(flipped))
+        assert sink.corrupted == 4
+        assert sink.received == 5
+
 
 class TestPlans:
     def test_fault_plan_direct_install(self):
