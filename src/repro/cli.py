@@ -33,8 +33,8 @@ collects everything into a text or markdown report via
 
 Artifacts land under one umbrella: ``--artifacts-dir DIR`` writes
 ``DIR/telemetry/`` (metrics.json, spans.jsonl, trace.json) and
-``DIR/capture/`` (capture.rcap); sharded campaigns additionally keep
-``DIR/journal.jsonl`` and per-experiment shards under
+``DIR/capture/`` (capture.rcap); engine campaigns additionally keep
+the ``DIR/results.sqlite`` result store and per-experiment shards under
 ``DIR/experiments/``.  The PR-4-era ``--telemetry-dir``/``--capture-dir``
 aliases are retired: passing either now fails with a ``DeprecationWarning``
 naming the replacement (see docs/runtime.md).
@@ -173,14 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
                                "at any N (default 0 = off)")
     campaign.add_argument("--resume", action="store_true",
                           help="resume an interrupted campaign from "
-                               "ARTIFACTS_DIR/journal.jsonl — or, with "
-                               "--fabric, from ARTIFACTS_DIR/"
-                               "results.sqlite (requires "
-                               "--artifacts-dir)")
+                               "the result store DIR/results.sqlite, "
+                               "whichever executor wrote it (requires "
+                               "--artifacts-dir DIR)")
     campaign.add_argument("--artifacts-dir", default=None,
                           help="write all artifacts under this directory: "
                                "DIR/telemetry/, DIR/capture/, "
-                               "DIR/journal.jsonl, DIR/experiments/")
+                               "DIR/results.sqlite, DIR/experiments/")
     campaign.add_argument("--telemetry-dir", default=None,
                           help=argparse.SUPPRESS)
     campaign.add_argument("--capture-dir", default=None,
@@ -240,11 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_run.add_argument(
         "--artifacts-dir", default=None,
-        help="write journal + merged artifacts under this directory",
+        help="write the result store + merged artifacts under this "
+             "directory",
     )
     scenario_run.add_argument(
         "--resume", action="store_true",
-        help="resume from ARTIFACTS_DIR/journal.jsonl",
+        help="resume from the result store DIR/results.sqlite "
+             "(requires --artifacts-dir DIR)",
     )
     scenario_run.add_argument(
         "--no-progress", action="store_true",
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     store = sub.add_parser(
         "store",
-        help="query or export the fabric result store "
+        help="query or export a campaign result store "
              "(ARTIFACTS_DIR/results.sqlite)",
     )
     store_sub = store.add_subparsers(dest="store_command")
@@ -369,10 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also persist the report into this sqlite "
                               "incident store")
     analyze.add_argument("--result-store", default=None, metavar="PATH",
-                         help="cross-check the report against a fabric "
-                              "result store (ARTIFACTS_DIR/results.sqlite): "
-                              "indices, names, seeds, and aggregate "
-                              "consistency; exit 1 on mismatch")
+                         help="cross-check the report against a "
+                              "campaign result store "
+                              "(ARTIFACTS_DIR/results.sqlite): indices, "
+                              "names, seeds, and aggregate consistency; "
+                              "exit 1 on mismatch")
     analyze.add_argument("--digest-only", action="store_true",
                          help="print only the report digest (CI gate)")
     report_cmd = insight_sub.add_parser(
@@ -700,8 +702,9 @@ def _execute_spec(spec, *, workers: int, resume: bool,
     """Run ``spec`` through the campaign engine and print the results.
 
     The shared back half of ``campaign`` and ``scenario run``: executor
-    selection (serial vs pooled vs fabric), journalling or the result
-    store, deterministic artifact merging, and the human summary.
+    selection (serial vs pooled vs fabric), deterministic artifact
+    merging, and the human summary.  Every executor checkpoints into
+    ``DIR/results.sqlite`` when ``engine_root`` is set.
     """
     from contextlib import nullcontext
     from pathlib import Path
@@ -709,6 +712,7 @@ def _execute_spec(spec, *, workers: int, resume: bool,
     from repro.nftape.campaign import Campaign
     from repro.runtime.executors import PooledExecutor, SerialExecutor
     from repro.runtime.fabric import FabricExecutor
+    from repro.runtime.store import STORE_FILE_NAME
 
     progress = None
     if not no_progress:
@@ -719,10 +723,6 @@ def _execute_spec(spec, *, workers: int, resume: bool,
     table_out = sys.stderr if follow_events else sys.stdout
     follow = _FollowEvents() if follow_events else nullcontext()
 
-    journal_path = (
-        None if engine_root is None
-        else Path(engine_root) / "journal.jsonl"
-    )
     if fabric > 0:
         executor = FabricExecutor(
             workers=fabric, resume=resume,
@@ -730,42 +730,30 @@ def _execute_spec(spec, *, workers: int, resume: bool,
         )
     elif workers > 1:
         executor = PooledExecutor(
-            workers=workers, journal_path=journal_path,
-            resume=resume, artifacts_dir=engine_root,
+            workers=workers, resume=resume, artifacts_dir=engine_root,
             label=spec.name,
         )
     else:
         executor = SerialExecutor(
-            journal_path=journal_path, resume=resume,
-            artifacts_dir=engine_root, label=spec.name,
+            resume=resume, artifacts_dir=engine_root, label=spec.name,
         )
     with follow:
         table = campaign.run(executor=executor)
     if progress is not None:
         print(file=sys.stderr)
     print(table.render(), file=table_out)
-    if fabric > 0:
-        line = (
-            f"campaign: {len(executor.executed)} experiment(s) executed "
-            f"on the fabric with {fabric} worker(s)"
-        )
-        if executor.skipped:
-            line += f", {len(executor.skipped)} restored from store"
-        reissued = sum(executor.reissues.values())
-        if reissued:
-            line += f", {reissued} lease(s) re-issued"
-        if engine_root is not None:
-            line += f"; store: {Path(engine_root) / 'results.sqlite'}"
-    else:
-        line = (
-            f"campaign: {len(executor.executed)} experiment(s) executed "
-            f"with {workers} worker(s)"
-        )
-        if executor.skipped:
-            line += f", {len(executor.skipped)} restored from journal"
-        retries = sum(executor.retries.values())
-        if retries:
-            line += f", {retries} retried"
+    where = (f"on the fabric with {fabric}" if fabric > 0
+             else f"with {workers}")
+    line = (f"campaign: {len(executor.executed)} experiment(s) executed "
+            f"{where} worker(s)")
+    if executor.skipped:
+        line += f", {len(executor.skipped)} restored from store"
+    retries = sum(executor.retries.values())
+    if retries:
+        line += (f", {retries} lease(s) re-issued" if fabric > 0
+                 else f", {retries} retried")
+    if engine_root is not None:
+        line += f"; store: {Path(engine_root) / STORE_FILE_NAME}"
     print(line, file=table_out)
     summary = executor.merge_summary
     if summary is not None:
@@ -825,9 +813,10 @@ def _run_campaign(args) -> int:
     """``campaign``: a Table 4 style control-symbol swap campaign.
 
     The campaign cycles through control-symbol corruption pairs with a
-    duty-cycled trigger.  With ``--artifacts-dir`` the run is journalled
-    (``--resume`` restores completed experiments) and drops merged
-    telemetry (``metrics.json``, ``spans.jsonl``, a Perfetto-loadable
+    duty-cycled trigger.  With ``--artifacts-dir`` the run checkpoints
+    into ``DIR/results.sqlite`` (``--resume`` restores completed
+    experiments) and drops merged telemetry (``metrics.json``,
+    ``spans.jsonl``, a Perfetto-loadable
     ``trace.json``) plus a binary ``capture.rcap`` that ``python -m
     repro capture decode`` analyzes; ``--workers N`` shards the
     experiments across N worker processes with bit-identical output.
@@ -848,8 +837,8 @@ def _run_campaign(args) -> int:
 
     if args.resume and engine_root is None:
         print(
-            "--resume reads the campaign journal; pass --artifacts-dir DIR "
-            "(the journal lives at DIR/journal.jsonl)",
+            "--resume reads the result store; pass --artifacts-dir DIR "
+            "(the store lives at DIR/results.sqlite)",
             file=sys.stderr,
         )
         return 2
@@ -868,9 +857,9 @@ def _run_campaign(args) -> int:
 
     fabric = max(0, getattr(args, "fabric", 0))
     if engine_root is not None or workers > 1 or fabric > 0:
-        # Engine path: journal (or result store) + per-experiment
-        # artifact shards, merged deterministically on completion
-        # (same layout at any -w / --fabric N).
+        # Engine path: result store + per-experiment artifact shards,
+        # merged deterministically on completion (same layout at any
+        # -w / --fabric N).
         return _execute_spec(
             spec, workers=workers, resume=args.resume,
             engine_root=engine_root, follow_events=args.follow,
@@ -968,7 +957,7 @@ def _run_serve(args) -> int:
 
 
 def _run_store(args) -> int:
-    """``store query|export``: inspect the fabric result store.
+    """``store query|export``: inspect a campaign result store.
 
     ``query`` with no reference prints the campaign progress view (one
     line per stored campaign); with a reference it adds the aggregate
@@ -980,8 +969,7 @@ def _run_store(args) -> int:
     from pathlib import Path
 
     from repro.errors import CampaignError
-    from repro.runtime.fabric import STORE_FILE_NAME
-    from repro.runtime.store import ResultStore
+    from repro.runtime.store import STORE_FILE_NAME, ResultStore
 
     if args.store:
         store_path = Path(args.store)
@@ -992,7 +980,7 @@ def _run_store(args) -> int:
         return 2
     if not store_path.exists():
         print(f"no result store at {store_path} (run a campaign with "
-              "--fabric N --artifacts-dir DIR first)", file=sys.stderr)
+              "--artifacts-dir DIR first)", file=sys.stderr)
         return 2
 
     with ResultStore(store_path) as store:
@@ -1334,8 +1322,8 @@ def _run_scenario(args) -> int:
     # scenario run
     if args.resume and args.artifacts_dir is None:
         print(
-            "--resume reads the campaign journal; pass --artifacts-dir DIR "
-            "(the journal lives at DIR/journal.jsonl)",
+            "--resume reads the result store; pass --artifacts-dir DIR "
+            "(the store lives at DIR/results.sqlite)",
             file=sys.stderr,
         )
         return 2

@@ -20,8 +20,6 @@ The pieces:
   :class:`PooledExecutor` behind one ``Campaign.run(executor=…)`` code
   path, with per-experiment wall-clock timeouts and bounded
   crash-retry;
-* :mod:`~repro.runtime.journal` — the JSONL checkpoint enabling
-  ``--resume``;
 * :mod:`~repro.runtime.artifacts` — per-experiment telemetry/capture
   shards and their deterministic merge;
 * :mod:`~repro.runtime.worker` — the single per-experiment code path
@@ -30,9 +28,11 @@ The pieces:
 * :mod:`~repro.runtime.fabric` — :class:`FabricExecutor`: pull-queue
   workers leasing experiments from a shared work queue, with crash /
   hang / duplicate-delivery recovery (chaos-tested);
-* :mod:`~repro.runtime.store` — the fabric's queryable sqlite
+* :mod:`~repro.runtime.store` — the queryable sqlite
   :class:`ResultStore` (schema-versioned, WAL, one winner per
-  experiment, incremental aggregates) backing ``--resume``.
+  experiment, incremental aggregates): the one checkpoint every
+  executor records into and ``--resume`` restores from, whichever
+  executor wrote it.
 
 See docs/runtime.md for the full contract.
 """
@@ -52,15 +52,15 @@ from repro.runtime.executors import (
     default_start_method,
 )
 from repro.runtime.fabric import FabricExecutor
-from repro.runtime.journal import (
-    CampaignJournal,
-    result_from_dict,
-    result_to_dict,
-)
 from repro.runtime.seeding import derive_seed
 from repro.runtime.spec import CampaignSpec, ExperimentSpec, PlanSpec
 from repro.runtime.spec_codec import spec_from_json, spec_to_json
-from repro.runtime.store import ResultStore, spec_digest
+from repro.runtime.store import (
+    ResultStore,
+    result_from_dict,
+    result_to_dict,
+    spec_digest,
+)
 from repro.runtime.worker import ExperimentJob, execute_job, job_for
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "FabricExecutor",
     "ResultStore",
     "spec_digest",
-    "CampaignJournal",
     "ExperimentJob",
     "derive_seed",
     "execute_job",

@@ -3,7 +3,7 @@
 A sharded campaign run with ``--artifacts-dir out/`` produces::
 
     out/
-      journal.jsonl                       # checkpoint journal
+      results.sqlite                      # checkpoint result store
       experiments/
         exp-000-STOP-IDLE/
           telemetry/metrics.json|spans.jsonl|trace.json
@@ -223,7 +223,7 @@ def merge_artifacts(
 
     ``entries`` is the ordered ``(index, name)`` list of the campaign's
     experiments; shards that never produced an artifact (e.g. an
-    experiment restored from the resume journal on a later run) are
+    experiment restored from the result store on a later run) are
     skipped, and the skip is reported in the returned summary.
     """
     merger = ShardMerger(root, label)

@@ -2,9 +2,9 @@
 
 The paper's premise is *live* monitoring — the adaptive monitor watches
 the link in real time, not after the fact.  This module is the software
-analogue for the campaign engine itself: executors (and the journal)
-publish typed lifecycle events onto a process-wide :class:`EventBus`
-that subscribers — the ``repro.cli campaign --follow`` printer, the
+analogue for the campaign engine itself: executors publish typed
+lifecycle events onto a process-wide :class:`EventBus` that
+subscribers — the ``repro.cli campaign --follow`` printer, the
 :mod:`repro.server` streaming endpoints — consume concurrently while
 the campaign runs.
 
@@ -35,9 +35,8 @@ Lifecycle kinds (see :data:`EVENT_KINDS`): ``campaign_started``,
 ``fabric_lease_reissued`` (a fabric lease expired and the experiment
 was re-queued with the same derived seed — *not* a second
 ``experiment_started``), ``snapshot`` (periodic
-counter *deltas* since the previous snapshot), ``journal_record``,
-``shard_merged``, ``campaign_finished``, ``campaign_failed``, and
-``heartbeat``.
+counter *deltas* since the previous snapshot), ``shard_merged``,
+``campaign_finished``, ``campaign_failed``, and ``heartbeat``.
 
 Wall-clock note: this module carries the :mod:`repro.runtime` SIM001
 allowance — events timestamp *host* observation time for subscribers
@@ -75,7 +74,6 @@ EVENT_KINDS = (
     "experiment_failed",
     "fabric_lease_reissued",
     "snapshot",
-    "journal_record",
     "shard_merged",
     "insight_ready",
     "campaign_finished",

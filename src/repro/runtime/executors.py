@@ -15,9 +15,13 @@ experiment order** — the executor decides *how* the experiments run:
 
 Robustness (pooled): every experiment gets a wall-clock timeout; a
 worker that crashes or times out is replaced by a fresh worker re-running
-the same seed, up to ``max_retries`` times; completions stream into a
-JSONL :class:`~repro.runtime.journal.CampaignJournal` so an interrupted
-campaign resumes without re-running finished experiments.
+the same seed, up to ``max_retries`` times.
+
+Checkpoint (every executor, fabric included): each completed experiment
+is recorded in the sqlite :class:`~repro.runtime.store.ResultStore` at
+``<artifacts_dir>/results.sqlite`` *before* ``experiment_finished`` is
+announced, so an interrupted campaign resumes — under any executor —
+without re-running finished experiments.
 
 Wall-clock note: this module (and :mod:`repro.runtime.worker`) carries
 the scoped SIM001 allowance alongside :mod:`repro.telemetry` — the
@@ -39,8 +43,13 @@ from repro.errors import CampaignError
 from repro.nftape.results import ExperimentResult
 from repro.runtime.artifacts import merge_artifacts
 from repro.runtime.events import EVENTS, emit
-from repro.runtime.journal import CampaignJournal, result_from_dict
 from repro.runtime.spec import CampaignSpec, spec_summary
+from repro.runtime.store import (
+    STORE_FILE_NAME,
+    ResultStore,
+    result_from_dict,
+    spec_digest,
+)
 from repro.runtime.worker import (
     ExperimentJob,
     execute_job,
@@ -59,6 +68,10 @@ __all__ = [
 #: File name of the campaign-shape summary written into the artifacts
 #: root (see :func:`repro.runtime.spec.spec_summary`).
 SPEC_FILE_NAME = "spec.json"
+
+#: The JSONL checkpoint older builds kept beside the store; resume
+#: refuses a home that has only this file rather than start fresh.
+RETIRED_JOURNAL_NAME = "journal.jsonl"
 
 #: Default per-experiment wall-clock timeout (generous: scaled paper
 #: experiments run in seconds; a stuck shard should not stall a shift).
@@ -87,7 +100,11 @@ def default_start_method() -> str:
 
 
 class _ExecutorBase:
-    """Journal/resume/artifact plumbing shared by both executors."""
+    """Store/resume/artifact plumbing shared by every executor.
+
+    ``journal_path`` is the explicit path of the checkpoint store file;
+    without it the store lives at ``<artifacts_dir>/results.sqlite``.
+    """
 
     def __init__(
         self,
@@ -110,7 +127,7 @@ class _ExecutorBase:
         self.events_label = events_label
         #: Experiment indices actually executed this run (for tests/UX).
         self.executed: List[int] = []
-        #: Indices restored from the journal instead of re-run.
+        #: Indices restored from the store instead of re-run.
         self.skipped: List[int] = []
         #: Retries performed, keyed by experiment index.
         self.retries: Dict[int, int] = {}
@@ -169,29 +186,69 @@ class _ExecutorBase:
 
     # ------------------------------------------------------------------
 
-    def _open_journal(
-        self, spec: Optional[CampaignSpec]
-    ) -> Tuple[Optional[CampaignJournal], Dict[int, ExperimentResult]]:
-        """Create/validate the journal; load completed results on resume."""
-        if self.journal_path is None:
-            if self.resume:
-                raise CampaignError(
-                    "resume requested but no journal path configured"
-                )
-            return None, {}
-        if spec is None:
+    def _store_path(self) -> Optional[Path]:
+        """Where the checkpoint store lives (``None``: no checkpoint)."""
+        if self.journal_path is not None:
+            return self.journal_path
+        if self.artifacts_dir is not None:
+            return self.artifacts_dir / STORE_FILE_NAME
+        if self.resume:
             raise CampaignError(
-                "journalling requires a spec-based campaign "
+                "resume needs a store home: pass artifacts_dir (the "
+                f"store lives at DIR/{STORE_FILE_NAME})"
+            )
+        return None
+
+    def _open_store(
+        self, spec: Optional[CampaignSpec]
+    ) -> Tuple[Optional[ResultStore], str, Dict[int, ExperimentResult]]:
+        """Open the checkpoint store and register ``spec`` in it.
+
+        Returns ``(store, digest, completed)``; ``completed`` holds the
+        winners a resume restores.  Resume refuses a home whose only
+        checkpoint is a retired JSONL journal, and a store that holds
+        this campaign's name under a different spec digest (the spec
+        was edited since the interrupted run).
+        """
+        path = self._store_path()
+        if path is None:
+            return None, "", {}
+        if spec is None:
+            if self.journal_path is None and not self.resume:
+                return None, "", {}  # legacy campaign: no checkpoint
+            raise CampaignError(
+                "checkpointing requires a spec-based campaign "
                 "(build it with Campaign.from_spec)"
             )
-        journal = CampaignJournal(self.journal_path,
-                                  events_label=self._events_campaign)
-        completed: Dict[int, ExperimentResult] = {}
-        if self.resume:
-            completed = journal.completed(spec) if journal.path.exists() \
-                else {}
-        journal.begin(spec, resume=self.resume)
-        return journal, completed
+        retired = path.with_name(RETIRED_JOURNAL_NAME)
+        if self.resume and not path.exists() and retired.exists():
+            raise CampaignError(
+                f"{retired} is a retired JSONL journal and {path} does "
+                "not exist; this build resumes only from the result "
+                "store (run without resume to start fresh)"
+            )
+        digest = spec_digest(spec)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        store = ResultStore(path)
+        try:
+            if self.resume:
+                named = sorted(
+                    row["spec_digest"] for row in store.campaigns()
+                    if row["name"] == spec.name
+                )
+                if named and digest not in named:
+                    raise CampaignError(
+                        f"result store {path} holds campaign "
+                        f"{spec.name!r} under a different spec digest "
+                        f"({named[0]}, expected {digest}); refusing to "
+                        "resume"
+                    )
+            store.begin(spec, resume=self.resume)
+            completed = store.completed(digest) if self.resume else {}
+        except BaseException:
+            store.close()
+            raise
+        return store, digest, completed
 
     def _write_spec(self, spec: Optional[CampaignSpec]) -> None:
         """Drop ``spec.json`` into the artifacts root (offline analyzers
@@ -226,9 +283,9 @@ class SerialExecutor(_ExecutorBase):
 
     ``Campaign.run()`` with no executor argument uses this with default
     options — behaviourally identical to the pre-engine serial loop.
-    Spec-based campaigns additionally get journalling, resume, and
-    per-experiment artifact shards (merged on completion) through the
-    exact same code path the pooled workers run.
+    Spec-based campaigns additionally get the store checkpoint, resume,
+    and per-experiment artifact shards (merged on completion) through
+    the exact same code path the pooled workers run.
     """
 
     def execute(self, campaign: Any,
@@ -237,7 +294,19 @@ class SerialExecutor(_ExecutorBase):
         """Yield ``(index, result)`` pairs in experiment order."""
         spec: Optional[CampaignSpec] = getattr(campaign, "spec", None)
         self._events_campaign = self._events_key(campaign, spec)
-        journal, completed = self._open_journal(spec)
+        store, digest, completed = self._open_store(spec)
+        try:
+            yield from self._run_serial(campaign, spec, store, digest,
+                                        completed, progress)
+        finally:
+            if store is not None:
+                store.close()
+
+    def _run_serial(self, campaign: Any, spec: Optional[CampaignSpec],
+                    store: Optional[ResultStore], digest: str,
+                    completed: Dict[int, ExperimentResult],
+                    progress: Optional[Any]
+                    ) -> Iterator[Tuple[int, ExperimentResult]]:
         self._write_spec(spec)
         total = len(campaign.experiments) if spec is None else len(spec)
         self._emit("campaign_started", executor="serial", experiments=total,
@@ -247,7 +316,7 @@ class SerialExecutor(_ExecutorBase):
                 self.skipped.append(index)
                 if progress is not None:
                     progress(f"[{index + 1}/{total}] restored "
-                             f"{completed[index].name} from journal")
+                             f"{completed[index].name} from store")
                 self._emit("experiment_restored", index=index,
                            name=completed[index].name)
                 yield index, completed[index]
@@ -266,8 +335,8 @@ class SerialExecutor(_ExecutorBase):
                 self._emit("experiment_started", index=index, name=job.name,
                            seed=job.seed, attempt=0)
                 result = execute_job(job, in_process=True)
-                if journal is not None:
-                    journal.record(index, job.name, job.seed, result)
+                if store is not None:
+                    store.record(digest, index, job.name, job.seed, result)
             else:
                 experiment = campaign.experiments[index]
                 if progress is not None:
@@ -352,7 +421,19 @@ class PooledExecutor(_ExecutorBase):
                 "can be shipped to worker processes"
             )
         self._events_campaign = self._events_key(campaign, spec)
-        journal, ready = self._open_journal(spec)
+        store, digest, ready = self._open_store(spec)
+        try:
+            yield from self._run_pooled(spec, store, digest, ready,
+                                        progress)
+        finally:
+            if store is not None:
+                store.close()
+
+    def _run_pooled(self, spec: CampaignSpec,
+                    store: Optional[ResultStore], digest: str,
+                    ready: Dict[int, ExperimentResult],
+                    progress: Optional[Any]
+                    ) -> Iterator[Tuple[int, ExperimentResult]]:
         self._write_spec(spec)
         self.skipped = sorted(ready)
         total = len(spec)
@@ -499,14 +580,15 @@ class PooledExecutor(_ExecutorBase):
                             )
                         ready[index] = result_from_dict(payload["result"])
                         self.executed.append(index)
+                        if store is not None:
+                            store.record(
+                                digest, index, payload["name"],
+                                payload["seed"], ready[index],
+                                attempt=payload["attempt"],
+                            )
                         self._emit_finished(
                             index, payload["name"], ready[index]
                         )
-                        if journal is not None:
-                            journal.record(
-                                index, payload["name"], payload["seed"],
-                                ready[index], attempt=payload["attempt"],
-                            )
                         if progress is not None:
                             progress(
                                 f"[{len(ready)}/{total}] finished "

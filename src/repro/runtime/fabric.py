@@ -66,7 +66,7 @@ from repro.nftape.results import ExperimentResult
 from repro.runtime.artifacts import ShardMerger
 from repro.runtime.executors import _ExecutorBase, default_start_method
 from repro.runtime.spec import CampaignSpec
-from repro.runtime.store import ResultStore, spec_digest
+from repro.runtime.store import STORE_FILE_NAME, ResultStore, spec_digest
 from repro.runtime.worker import (
     claim_lease,
     execute_job,
@@ -79,7 +79,6 @@ from repro.runtime.worker import (
 
 __all__ = [
     "QUEUE_FILE_NAME",
-    "STORE_FILE_NAME",
     "FABRIC_SUBDIR",
     "DEFAULT_LEASE_TIMEOUT_S",
     "write_queue",
@@ -90,8 +89,6 @@ __all__ = [
 
 #: The work queue file under the fabric directory.
 QUEUE_FILE_NAME = "queue.jsonl"
-#: The shared result store under the artifacts root.
-STORE_FILE_NAME = "results.sqlite"
 #: Fabric coordination state (queue + leases) under the artifacts root.
 FABRIC_SUBDIR = "fabric"
 #: Queue file-format version.
@@ -284,8 +281,9 @@ class FabricExecutor(_ExecutorBase):
     ``(index, result)`` pairs in experiment order, byte-identical to a
     serial run.  Differences from the pooled executor:
 
-    * results persist in a sqlite :class:`ResultStore` (queryable while
-      running; ``resume=True`` restarts from it, no journal replay);
+    * workers, not the coordinator, record results into the shared
+      sqlite :class:`ResultStore` (queryable while running; every
+      executor resumes from it);
     * workers *pull* work via filesystem leases — a crashed or hung
       worker forfeits its lease and the experiment is re-issued (up to
       ``max_reissues`` times) with the same derived seed;
@@ -314,9 +312,8 @@ class FabricExecutor(_ExecutorBase):
         events_label: Optional[str] = None,
         chaos_duplicate_delivery: Optional[int] = None,
     ) -> None:
-        super().__init__(journal_path=None, resume=False,
-                         artifacts_dir=artifacts_dir, label=label,
-                         events_label=events_label)
+        super().__init__(resume=resume, artifacts_dir=artifacts_dir,
+                         label=label, events_label=events_label)
         if workers < 1:
             raise CampaignError(f"workers must be >= 1, got {workers}")
         self.workers = workers
@@ -324,7 +321,6 @@ class FabricExecutor(_ExecutorBase):
         self.max_reissues = max_reissues
         self.start_method = start_method or default_start_method()
         self.poll_s = poll_s
-        self.resume = resume
         self.store_path = None if store_path is None else Path(store_path)
         self.fabric_dir = None if fabric_dir is None else Path(fabric_dir)
         self.chaos_duplicate_delivery = chaos_duplicate_delivery
@@ -339,19 +335,21 @@ class FabricExecutor(_ExecutorBase):
 
     # ------------------------------------------------------------------
 
+    def _store_path(self) -> Optional[Path]:
+        """An explicit ``store_path`` wins over the shared path rule."""
+        if self.store_path is not None:
+            return self.store_path
+        return super()._store_path()
+
     def _resolve_homes(self) -> Optional[str]:
         """Fill in store/fabric paths; returns a temp root to clean."""
         scratch = None
+        self.store_path = self._store_path()
         if self.store_path is None or self.fabric_dir is None:
             if self.artifacts_dir is not None:
                 base = Path(self.artifacts_dir)
                 base.mkdir(parents=True, exist_ok=True)
             else:
-                if self.resume and self.store_path is None:
-                    raise CampaignError(
-                        "fabric resume needs a persistent home: pass "
-                        "artifacts_dir (or an explicit store_path)"
-                    )
                 scratch = tempfile.mkdtemp(prefix="repro-fabric-")
                 base = Path(scratch)
             if self.store_path is None:
@@ -374,14 +372,11 @@ class FabricExecutor(_ExecutorBase):
         self._events_campaign = self._events_key(campaign, spec)
         scratch = self._resolve_homes()
         started_wall = time.monotonic()
-        store = ResultStore(self.store_path)
+        store: Optional[ResultStore] = None
         context = multiprocessing.get_context(self.start_method)
         processes: List[Any] = []
         try:
-            digest = store.begin(spec, resume=self.resume)
-            ready: Dict[int, ExperimentResult] = (
-                store.completed(digest) if self.resume else {}
-            )
+            store, digest, ready = self._open_store(spec)
             total = len(spec)
             self.skipped = sorted(ready)
             self._write_spec(spec)
@@ -607,6 +602,7 @@ class FabricExecutor(_ExecutorBase):
                 if process.is_alive():
                     process.terminate()
                 process.join(timeout=5)
-            store.close()
+            if store is not None:
+                store.close()
             if scratch is not None:
                 shutil.rmtree(scratch, ignore_errors=True)

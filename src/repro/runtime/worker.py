@@ -57,7 +57,7 @@ from typing import Any, Dict, Optional, Union
 from repro.capture import CaptureSession
 from repro.nftape.results import ExperimentResult
 from repro.runtime import artifacts as _artifacts
-from repro.runtime.journal import result_to_dict
+from repro.runtime.store import result_to_dict
 from repro.runtime.spec import CampaignSpec, ExperimentSpec
 from repro.telemetry import TelemetrySession
 

@@ -400,13 +400,11 @@ class MonitorServer:
                 executor = PooledExecutor(
                     workers=record.workers,
                     timeout_s=self.timeout_s,
-                    journal_path=record.dir / "journal.jsonl",
                     artifacts_dir=record.dir,
                     events_label=record.id,
                 )
             else:
                 executor = SerialExecutor(
-                    journal_path=record.dir / "journal.jsonl",
                     artifacts_dir=record.dir,
                     events_label=record.id,
                 )

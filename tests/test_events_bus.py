@@ -6,8 +6,8 @@ Three layers of proof:
   subscription rings that drop-and-count instead of blocking, history
   replay for late subscribers, session nesting;
 * **emission** — serial and pooled executors publish the documented
-  lifecycle kinds in the documented order, and the journal announces
-  every flushed line;
+  lifecycle kinds in the documented order, and an experiment's store
+  row is committed before its ``experiment_finished`` goes out;
 * **observation-only** — with a bus installed (and a live subscriber
   attached) the kernel event-stream digest still matches the golden
   pre-telemetry digests, and a campaign's merged artifacts are
@@ -30,6 +30,7 @@ from repro.runtime.events import (
     emit,
 )
 from repro.runtime.executors import PooledExecutor, SerialExecutor
+from repro.runtime.store import ResultStore, spec_digest
 
 from tests.test_runtime import tiny_spec
 from tests.test_telemetry_determinism import DURATION_PS, GOLDEN_DIGESTS
@@ -132,7 +133,7 @@ class TestEventBus:
 
 
 # ----------------------------------------------------------------------
-# executor + journal emission
+# executor emission
 # ----------------------------------------------------------------------
 
 class TestExecutorEmission:
@@ -141,14 +142,12 @@ class TestExecutorEmission:
         bus = EventBus()
         with EventBusSession(bus):
             Campaign.from_spec(spec).run(executor=SerialExecutor(
-                journal_path=tmp_path / "journal.jsonl"))
+                journal_path=tmp_path / "results.sqlite"))
         kinds = [e.kind for e in bus.history("events campaign")]
         assert kinds == [
             "campaign_started",
-            "experiment_started", "journal_record",
-            "experiment_finished", "snapshot",
-            "experiment_started", "journal_record",
-            "experiment_finished", "snapshot",
+            "experiment_started", "experiment_finished", "snapshot",
+            "experiment_started", "experiment_finished", "snapshot",
             "campaign_finished",
         ]
         assert set(kinds) <= set(EVENT_KINDS)
@@ -177,8 +176,7 @@ class TestExecutorEmission:
         bus = EventBus()
         with EventBusSession(bus):
             Campaign.from_spec(spec).run(executor=PooledExecutor(
-                workers=2, journal_path=tmp_path / "journal.jsonl",
-                artifacts_dir=tmp_path / "artifacts"))
+                workers=2, artifacts_dir=tmp_path / "artifacts"))
         kinds = [e.kind for e in bus.history("pooled events")]
         assert kinds[0] == "campaign_started"
         assert kinds[-1] == "campaign_finished"
@@ -197,41 +195,35 @@ class TestExecutorEmission:
                 executor=SerialExecutor(events_label="c0042"))
         assert bus.campaigns() == ["c0042"]
 
-    def test_journal_line_is_readable_when_its_event_fires(self, tmp_path):
-        """Reader-during-write: by the time ``journal_record`` is
-        published, the journal already holds that record as a complete,
-        parsable line (one write + flush per record)."""
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["serial", "pooled"])
+    def test_store_row_is_readable_when_its_event_fires(self, tmp_path,
+                                                        pooled):
+        """Record before announce: at the moment ``experiment_finished``
+        is published, a second connection already finds that
+        experiment's winner in the result store."""
         spec = tiny_spec(n=3, name="flush campaign")
-        journal = tmp_path / "journal.jsonl"
-        bus = EventBus()
+        store_path = tmp_path / "results.sqlite"
+        digest = spec_digest(spec)
         observed = []
-        failures = []
+        missing = []
 
-        def _reader(sub):
-            while True:
-                event = sub.get(timeout=0.5)
-                if event is None:
-                    return
-                if event.kind != "journal_record":
-                    continue
-                lines = journal.read_text().splitlines()
-                entries = [json.loads(line) for line in lines]  # no torn
-                done = {e["index"] for e in entries
-                        if e.get("type") == "result"}
-                if event.payload["index"] not in done:
-                    failures.append(event.payload["index"])
-                observed.append(event.payload["index"])
+        class CheckingBus(EventBus):
+            def publish(self, campaign, kind, **payload):
+                if kind == "experiment_finished":
+                    with ResultStore(store_path) as reader:
+                        if payload["index"] not in reader.completed(digest):
+                            missing.append(payload["index"])
+                    observed.append(payload["index"])
+                return super().publish(campaign, kind, **payload)
 
-        sub = bus.subscribe(campaign="flush campaign")
-        thread = threading.Thread(target=_reader, args=(sub,))
-        with EventBusSession(bus):
-            thread.start()
-            Campaign.from_spec(spec).run(
-                executor=SerialExecutor(journal_path=journal))
-        sub.close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert failures == []
+        executor = (
+            PooledExecutor(workers=2, journal_path=store_path) if pooled
+            else SerialExecutor(journal_path=store_path)
+        )
+        with EventBusSession(CheckingBus()):
+            Campaign.from_spec(spec).run(executor=executor)
+        assert missing == []
         assert sorted(observed) == [0, 1, 2]
 
 
@@ -258,8 +250,7 @@ class TestObservationOnly:
         merged artifacts and insight digests."""
         def run(root, session):
             spec = tiny_spec(n=2, name="ab campaign")
-            executor = SerialExecutor(
-                journal_path=root / "journal.jsonl", artifacts_dir=root)
+            executor = SerialExecutor(artifacts_dir=root)
             if session is None:
                 table = Campaign.from_spec(spec).run(executor=executor)
             else:

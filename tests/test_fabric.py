@@ -5,9 +5,9 @@ What docs/runtime.md promises for the fabric, pinned:
 * **byte-identical at any worker count** — the same campaign run
   serially and on the fabric with 1, 2, and 4 workers renders the same
   table and merges the same artifacts;
-* ``resume=True`` restarts from the sqlite store (not the journal):
-  completed experiments are restored, the rest execute, the table is
-  unchanged;
+* ``resume=True`` restarts from the sqlite store: completed
+  experiments are restored, the rest execute, the table is unchanged —
+  and a store left by any executor resumes under any other;
 * the queue file is self-validating — a torn or truncated queue parses
   as *no work*, never as wrong work;
 * :class:`EventBus` lifecycle is exactly-once per experiment even when
@@ -47,7 +47,13 @@ from repro.runtime.store import ResultStore, spec_digest
 from repro.runtime.worker import CRASH_AFTER_PARAM, HANG_PARAM, \
     HANG_UNTIL_PARAM
 from repro.sim.timebase import MS
-from tests.test_runtime import tiny_spec
+from tests.test_runtime import (
+    EXECUTOR_KINDS,
+    Interrupted,
+    interrupt_on,
+    make_executor,
+    tiny_spec,
+)
 
 
 def fabric_spec(n=4, name="fabric campaign", per_index_params=None):
@@ -189,7 +195,7 @@ class TestWorkerCountIdentity:
 
 
 # ----------------------------------------------------------------------
-# resume from the store (not the journal)
+# resume from the store
 # ----------------------------------------------------------------------
 
 class TestStoreResume:
@@ -224,6 +230,34 @@ class TestStoreResume:
         assert second.skipped == [0, 1, 2, 3]
         assert second.executed == []
         assert table.render() == baseline.render()
+
+    @pytest.mark.parametrize("writer,resumer", [
+        (writer, resumer)
+        for writer in EXECUTOR_KINDS for resumer in EXECUTOR_KINDS
+        if writer != resumer
+    ])
+    def test_store_left_by_one_executor_resumes_under_another(
+            self, tmp_path, writer, resumer):
+        """Kill a campaign under one executor once two experiments are
+        done; resume it under another from ``<home>/results.sqlite``:
+        the winners are restored, the rest run, the table is equal."""
+        spec = tiny_spec()
+        serial = Campaign.from_spec(spec).run(executor=SerialExecutor())
+        home = tmp_path / "run"
+        cut = "[3/4] running" if writer == "serial" else "[2/4] finished"
+        with pytest.raises(Interrupted):
+            Campaign.from_spec(spec, on_progress=interrupt_on(cut)).run(
+                executor=make_executor(writer, artifacts_dir=home))
+        with ResultStore(home / "results.sqlite") as store:
+            done = sorted(store.completed_indices(spec_digest(spec)))
+        assert len(done) >= 2
+
+        executor = make_executor(resumer, artifacts_dir=home, resume=True)
+        table = Campaign.from_spec(spec).run(executor=executor)
+        assert sorted(executor.skipped) == done
+        assert sorted(executor.skipped + executor.executed) \
+            == [0, 1, 2, 3]
+        assert table.render() == serial.render()
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ PUBLIC_MODULES = [
     "repro.nftape.classify", "repro.nftape.report",
     "repro.nftape.random_faults", "repro.nftape.paper",
     "repro.runtime", "repro.runtime.spec", "repro.runtime.seeding",
-    "repro.runtime.executors", "repro.runtime.journal",
+    "repro.runtime.executors",
     "repro.runtime.artifacts", "repro.runtime.worker",
     "repro.runtime.fabric", "repro.runtime.store",
     "repro.insight", "repro.insight.model", "repro.insight.correlate",

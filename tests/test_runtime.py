@@ -1,4 +1,4 @@
-"""The sharded campaign engine: specs, seeding, executors, journal.
+"""The sharded campaign engine: specs, seeding, executors, resume.
 
 The contract under test is the one docs/runtime.md promises:
 
@@ -6,8 +6,8 @@ The contract under test is the one docs/runtime.md promises:
   whichever process runs them;
 * per-experiment seeds derive from the base seed by a pure rule, so
   results are **bit-identical at any worker count**;
-* the journal makes ``--resume`` skip completed experiments without
-  changing the merged table;
+* the result store makes ``--resume`` skip completed experiments
+  without changing the merged table, whichever executor wrote it;
 * crashed workers are retried with the same seed; hung workers are
   killed by the wall-clock timeout.
 """
@@ -24,13 +24,15 @@ from repro.myrinet.symbols import GAP, STOP
 from repro.nftape.campaign import Campaign
 from repro.nftape.experiment import Experiment, TestbedOptions
 from repro.runtime import (
-    CampaignJournal,
     CampaignSpec,
     ExperimentSpec,
+    FabricExecutor,
     PlanSpec,
     PooledExecutor,
+    ResultStore,
     SerialExecutor,
     derive_seed,
+    spec_digest,
 )
 from repro.runtime.seeding import SEED_MASK
 from repro.runtime.worker import CRASH_PARAM, HANG_PARAM
@@ -201,88 +203,110 @@ class TestParallelDeterminism:
 
 
 # ----------------------------------------------------------------------
-# journal + resume
+# store checkpoint + resume
 # ----------------------------------------------------------------------
+
+EXECUTOR_KINDS = ("serial", "pooled", "fabric")
+
+
+def make_executor(kind, **options):
+    """One executor of ``kind`` with two workers where that applies."""
+    if kind == "serial":
+        return SerialExecutor(**options)
+    if kind == "pooled":
+        return PooledExecutor(workers=2, **options)
+    return FabricExecutor(workers=2, poll_s=0.01, **options)
+
+
+class Interrupted(Exception):
+    """Raised from a progress callback to cut a campaign short."""
+
+
+def interrupt_on(prefix):
+    """A progress callback that stops the campaign at the first
+    progress line starting with ``prefix`` (the in-process analogue of
+    Ctrl-C: the executor's cleanup runs, nothing else does)."""
+    def _progress(message):
+        if message.startswith(prefix):
+            raise Interrupted(message)
+    return _progress
+
 
 class TestJournalResume:
     def test_resume_skips_completed_experiments(self, tmp_path):
         spec = tiny_spec(n=4)
-        journal = tmp_path / "journal.jsonl"
+        store_path = tmp_path / "results.sqlite"
+        full = Campaign.from_spec(spec).run(executor=SerialExecutor())
 
-        full_exec = SerialExecutor(journal_path=journal)
-        full = Campaign.from_spec(spec).run(executor=full_exec)
-        assert sorted(full_exec.executed) == [0, 1, 2, 3]
-
-        # Simulate an interruption: keep the header + two results.
-        lines = journal.read_text().splitlines()
-        journal.write_text("\n".join(lines[:3]) + "\n")
+        # A real interruption: the serial run stops before its third
+        # experiment, with two winners already in the store.
+        with pytest.raises(Interrupted):
+            Campaign.from_spec(
+                spec, on_progress=interrupt_on("[3/4] running")
+            ).run(executor=SerialExecutor(journal_path=store_path))
 
         resumed_exec = PooledExecutor(
-            workers=2, journal_path=journal, resume=True
+            workers=2, journal_path=store_path, resume=True
         )
         resumed = Campaign.from_spec(spec).run(executor=resumed_exec)
         assert sorted(resumed_exec.skipped) == [0, 1]
         assert sorted(resumed_exec.executed) == [2, 3]
         assert resumed.render() == full.render()
 
-    def test_resume_refuses_a_different_campaign(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_resume_refuses_a_different_campaign(self, tmp_path, kind):
+        home = tmp_path / "run"
         Campaign.from_spec(tiny_spec(n=1, base_seed=0)).run(
-            executor=SerialExecutor(journal_path=journal)
+            executor=make_executor(kind, artifacts_dir=home)
         )
-        other = tiny_spec(n=1, base_seed=99)
+        other = tiny_spec(n=1, base_seed=99)  # same name, edited spec
         with pytest.raises(CampaignError, match="different"):
             Campaign.from_spec(other).run(
-                executor=SerialExecutor(journal_path=journal, resume=True)
+                executor=make_executor(kind, artifacts_dir=home,
+                                       resume=True)
             )
 
-    def test_torn_final_line_is_ignored(self, tmp_path):
-        spec = tiny_spec(n=2)
-        journal = tmp_path / "journal.jsonl"
-        Campaign.from_spec(spec).run(
-            executor=SerialExecutor(journal_path=journal)
-        )
-        with journal.open("a") as stream:
-            stream.write('{"type": "result", "index": 1, "resu')  # torn
-        restored = CampaignJournal(journal).completed(spec)
-        assert sorted(restored) == [0, 1]
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_resume_on_a_retired_journal_fails_loudly(self, tmp_path,
+                                                       kind):
+        """A home holding only the retired JSONL journal is not resumed
+        as an empty store: resume names the file and stops."""
+        home = tmp_path / "run"
+        home.mkdir()
+        (home / "journal.jsonl").write_text('{"type": "campaign"}\n')
+        with pytest.raises(CampaignError, match="journal.jsonl"):
+            Campaign.from_spec(tiny_spec(n=1)).run(
+                executor=make_executor(kind, artifacts_dir=home,
+                                       resume=True)
+            )
+        assert not (home / "results.sqlite").exists()
 
-    def test_reader_during_write_sees_only_whole_lines(self, tmp_path):
-        """Journal writes are line-atomic and flushed per record: a
-        reader polling the file *while the campaign runs* only ever
-        parses complete JSON lines, and every line the writer reported
-        done is already on disk (the live server's status endpoint and
-        ``completed()`` polls rely on this)."""
-        import json as jsonlib
-
+    def test_reader_during_write_sees_every_completed_experiment(
+            self, tmp_path):
+        """Each experiment is committed to the store as it completes: a
+        second connection polling the store *while the campaign runs*
+        sees every earlier experiment's winner (the live server and
+        ``store query`` rely on this)."""
         spec = tiny_spec(n=3)
-        journal = tmp_path / "journal.jsonl"
+        store_path = tmp_path / "results.sqlite"
+        digest = spec_digest(spec)
         snapshots = []
 
         def probe_reader(message):
-            # Runs as each experiment *starts*, i.e. concurrent with the
-            # journal's lifetime and between its flushed appends: every
-            # earlier experiment's record must already be on disk.
-            if not journal.exists():
-                return
-            entries = [jsonlib.loads(line)  # raises on any torn line
-                       for line in journal.read_text().splitlines()]
-            snapshots.append(
-                sorted(e["index"] for e in entries
-                       if e.get("type") == "result")
-            )
+            # Runs as each experiment *starts*: every earlier
+            # experiment's row must already be committed.
+            with ResultStore(store_path) as reader:
+                snapshots.append(sorted(reader.completed_indices(digest)))
 
         Campaign.from_spec(spec, on_progress=probe_reader).run(
-            executor=SerialExecutor(journal_path=journal)
+            executor=SerialExecutor(journal_path=store_path)
         )
-        # Each poll saw every record completed so far — nothing was
-        # sitting unflushed in the writer's buffer.
         assert snapshots == [[], [0], [0, 1]]
-        restored = CampaignJournal(journal).completed(spec)
-        assert sorted(restored) == [0, 1, 2]
+        with ResultStore(store_path) as reader:
+            assert sorted(reader.completed(digest)) == [0, 1, 2]
 
     def test_resume_without_journal_path_fails(self):
-        with pytest.raises(CampaignError, match="journal"):
+        with pytest.raises(CampaignError, match="resume needs a store"):
             Campaign.from_spec(tiny_spec(n=1)).run(
                 executor=SerialExecutor(resume=True)
             )

@@ -367,10 +367,7 @@ class TestOfflineEquivalence:
 
         offline_root = tmp_path / "offline"
         offline_table = Campaign.from_spec(spec).run(
-            executor=SerialExecutor(
-                journal_path=offline_root / "journal.jsonl",
-                artifacts_dir=offline_root,
-            ))
+            executor=SerialExecutor(artifacts_dir=offline_root))
         assert served_table.decode("utf-8") \
             == offline_table.render() + "\n"
 
