@@ -29,16 +29,21 @@ length-prefixed binary file that a host-side tool can decode offline:
 Unknown record types are skipped by length (forward compatibility);
 a version above :data:`VERSION` raises.  :func:`read_capture` round-trips
 everything :class:`CaptureWriter` emits, byte for byte of meaning.
+
+Capture and event records carry their experiment index as a fixed-width
+``u32`` (:data:`INDEX_OFFSETS`), so a tool that renumbers experiments
+(the campaign engine's shard merge) copies records with
+:meth:`CaptureWriter.copy_record` and never decodes them.  Event JSON
+blobs repeat heavily, so the writer and the reader each memoize them.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Union
+from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.capture.provenance import LifecycleEvent
 from repro.errors import ConfigurationError
@@ -51,6 +56,12 @@ __all__ = [
     "CaptureFileData",
     "CaptureWriter",
     "read_capture",
+    "scan_records",
+    "experiment_index_of",
+    "INDEX_OFFSETS",
+    "RECORD_CAPTURE",
+    "RECORD_EVENT",
+    "RECORD_EXPERIMENT",
     "pack_symbol",
     "unpack_symbol",
 ]
@@ -70,6 +81,20 @@ _RECORD = struct.Struct("<BI")  # record type, body length
 _CAPTURE_FIXED = struct.Struct("<IQBBBBQIIBBHH")
 #: time_ps, corr_id (-1 = none), seq, experiment_index, json length
 _EVENT_FIXED = struct.Struct("<QqIII")
+_INDEX = struct.Struct("<I")
+#: Byte offset of the experiment-index ``u32`` in a record body, for the
+#: two record types that carry one in binary.
+INDEX_OFFSETS = {RECORD_CAPTURE: 0, RECORD_EVENT: struct.calcsize("<QqI")}
+
+#: A type-2 record head and fixed fields, packed in one call.
+_EVENT_HEAD = struct.Struct("<BI" + _EVENT_FIXED.format[1:])
+
+#: Exact attr value types whose equal values always serialize to equal
+#: JSON (``True == 1`` hash alike, hence the types are in the memo key).
+_MEMO_KINDS = frozenset({str, int, bool, type(None)})
+#: Distinct event blobs one writer remembers; later ones are encoded
+#: every time.
+_BLOB_MEMO_LIMIT = 1 << 14
 
 
 def pack_symbol(symbol: Symbol) -> int:
@@ -158,6 +183,7 @@ class CaptureWriter:
             self._owns_stream = False
             self.path = None
         self.records_written = 0
+        self._blobs: Dict[Any, bytes] = {}
         meta_blob = json.dumps(
             {"format": "rcap", **(meta or {})}, sort_keys=True
         ).encode("utf-8")
@@ -198,54 +224,56 @@ class CaptureWriter:
         )
         self._write_record(RECORD_CAPTURE, fixed + packed)
 
-    def write_window(self, window: CaptureWindow) -> None:
-        """Re-serialize a decoded :class:`CaptureWindow`.
+    def copy_record(self, record_type: int, body: bytes,
+                    experiment_index: int) -> None:
+        """Copy a capture or event record body with a new experiment index.
 
-        The inverse of the type-1 decoder: lets tools that read a
-        capture file back (e.g. the sharded campaign engine's artifact
-        merge, which rewrites per-shard experiment indices to
-        campaign-global ones) re-emit windows losslessly.
+        ``body`` comes from another ``.rcap`` file (see
+        :func:`scan_records`); only its experiment-index ``u32`` is
+        rewritten, every other byte is copied as is.
         """
-        fixed = _CAPTURE_FIXED.pack(
-            window.experiment_index,
-            window.time_ps,
-            ord(window.direction[0]) if window.direction else 0,
-            1 if window.forced else 0,
-            window.lanes_rewritten,
-            window.lanes_unreachable,
-            window.segment_index,
-            window.window_before,
-            window.window_after,
-            window.ctl_before,
-            window.ctl_after,
-            len(window.before),
-            len(window.after),
+        offset = INDEX_OFFSETS[record_type]
+        self._write_record(
+            record_type,
+            body[:offset] + _INDEX.pack(experiment_index)
+            + body[offset + _INDEX.size:],
         )
-        packed = struct.pack(
-            f"<{len(window.before) + len(window.after)}H",
-            *(pack_symbol(s) for s in window.before + window.after),
-        )
-        self._write_record(RECORD_CAPTURE, fixed + packed)
 
     def write_event(self, event: LifecycleEvent) -> None:
         """Serialize one lifecycle event."""
-        blob = json.dumps(
-            {
-                "stage": event.stage,
-                "node": event.node,
-                "direction": event.direction,
-                "attrs": event.attrs,
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-        fixed = _EVENT_FIXED.pack(
+        attrs = event.attrs
+        # Memo key: the blob's fields plus each attr value's exact type.
+        # Only events built from str names and _MEMO_KINDS values are
+        # stored, so a hit always reproduces json.dumps's bytes.
+        key: Any = (event.stage, event.node, event.direction,
+                    *attrs.items(), *map(type, attrs.values()))
+        try:
+            blob = self._blobs.get(key)
+        except TypeError:  # an unhashable attr value
+            blob = key = None
+        if blob is None:
+            blob = json.dumps(
+                {
+                    "stage": event.stage,
+                    "node": event.node,
+                    "direction": event.direction,
+                    "attrs": attrs,
+                },
+                sort_keys=True,
+            ).encode("utf-8")
+            if (key is not None and len(self._blobs) < _BLOB_MEMO_LIMIT
+                    and _memoizable(event)):
+                self._blobs[key] = blob
+        self._stream.write(_EVENT_HEAD.pack(
+            RECORD_EVENT,
+            _EVENT_FIXED.size + len(blob),
             event.time_ps,
             -1 if event.corr_id is None else event.corr_id,
             event.seq,
             event.experiment_index,
             len(blob),
-        )
-        self._write_record(RECORD_EVENT, fixed + blob)
+        ) + blob)
+        self.records_written += 1
 
     def write_experiment(self, meta: Dict[str, Any]) -> None:
         """Serialize one experiment marker."""
@@ -266,54 +294,93 @@ class CaptureWriter:
         return False
 
 
-def _read_exact(stream: BinaryIO, count: int, what: str) -> bytes:
-    data = stream.read(count)
-    if len(data) != count:
+def _memoizable(event: LifecycleEvent) -> bool:
+    """Whether ``event``'s blob may be kept in a writer's memo."""
+    return (
+        all(isinstance(text, str)
+            for text in (event.stage, event.node, event.direction))
+        and all(type(name) is str for name in event.attrs)
+        and _MEMO_KINDS.issuperset(map(type, event.attrs.values()))
+    )
+
+
+def _require(buf: bytes, pos: int, count: int, what: str) -> None:
+    if pos + count > len(buf):
         raise ConfigurationError(
             f"truncated capture file: wanted {count} bytes of {what}, "
-            f"got {len(data)}"
+            f"got {max(0, len(buf) - pos)}"
         )
-    return data
+
+
+def scan_records(
+    buf: bytes,
+) -> Tuple[Dict[str, Any], List[Tuple[int, int, int]]]:
+    """Check a whole ``.rcap`` file's header and locate its records.
+
+    Returns the header metadata and one ``(record_type, start, end)``
+    body span per record, in file order.  Nothing is decoded; a bad
+    magic, a newer version, or a truncated header, record head or body
+    raises :class:`ConfigurationError`.
+    """
+    _require(buf, 0, len(MAGIC), "magic")
+    magic = buf[:len(MAGIC)]
+    if magic != MAGIC:
+        raise ConfigurationError(
+            f"not a capture file (magic {magic!r} != {MAGIC!r})"
+        )
+    pos = len(MAGIC)
+    _require(buf, pos, _HEADER.size, "header")
+    version, meta_len = _HEADER.unpack_from(buf, pos)
+    if version > VERSION:
+        raise ConfigurationError(
+            f"capture file version {version} is newer than supported "
+            f"version {VERSION}"
+        )
+    pos += _HEADER.size
+    _require(buf, pos, meta_len, "metadata")
+    meta = json.loads(buf[pos:pos + meta_len])
+    pos += meta_len
+
+    records: List[Tuple[int, int, int]] = []
+    size = len(buf)
+    head_size = _RECORD.size
+    unpack_head = _RECORD.unpack_from
+    while pos < size:
+        if pos + head_size > size:
+            raise ConfigurationError("truncated capture file: partial record")
+        record_type, body_len = unpack_head(buf, pos)
+        pos += head_size
+        end = pos + body_len
+        if end > size:
+            _require(buf, pos, body_len, f"record type {record_type}")
+        records.append((record_type, pos, end))
+        pos = end
+    return meta, records
+
+
+def experiment_index_of(record_type: int, body: bytes) -> int:
+    """The experiment index of a capture or event record body."""
+    return _INDEX.unpack_from(body, INDEX_OFFSETS[record_type])[0]
 
 
 def read_capture(source: Union[str, Path, bytes, BinaryIO]) -> CaptureFileData:
     """Read an ``.rcap`` file back; lossless inverse of the writer."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as stream:
-            return read_capture(stream.read())
-    if isinstance(source, bytes):
-        stream: BinaryIO = io.BytesIO(source)
+            buf = stream.read()
+    elif isinstance(source, bytes):
+        buf = source
     else:
-        stream = source
-
-    magic = _read_exact(stream, len(MAGIC), "magic")
-    if magic != MAGIC:
-        raise ConfigurationError(
-            f"not a capture file (magic {magic!r} != {MAGIC!r})"
-        )
-    version, meta_len = _HEADER.unpack(
-        _read_exact(stream, _HEADER.size, "header")
-    )
-    if version > VERSION:
-        raise ConfigurationError(
-            f"capture file version {version} is newer than supported "
-            f"version {VERSION}"
-        )
-    meta = json.loads(_read_exact(stream, meta_len, "metadata"))
+        buf = source.read()
+    meta, records = scan_records(buf)
     data = CaptureFileData(meta=meta)
-
-    while True:
-        head = stream.read(_RECORD.size)
-        if not head:
-            break
-        if len(head) != _RECORD.size:
-            raise ConfigurationError("truncated capture file: partial record")
-        record_type, body_len = _RECORD.unpack(head)
-        body = _read_exact(stream, body_len, f"record type {record_type}")
+    blobs: Dict[bytes, Any] = {}
+    for record_type, start, end in records:
+        body = buf[start:end]
         if record_type == RECORD_CAPTURE:
             data.captures.append(_decode_capture(body))
         elif record_type == RECORD_EVENT:
-            data.events.append(_decode_event(body))
+            data.events.append(_decode_event(body, blobs))
         elif record_type == RECORD_EXPERIMENT:
             data.experiments.append(json.loads(body))
         else:
@@ -358,18 +425,30 @@ def _decode_capture(body: bytes) -> CaptureWindow:
     )
 
 
-def _decode_event(body: bytes) -> LifecycleEvent:
+def _decode_event(body: bytes, blobs: Dict[bytes, Any]) -> LifecycleEvent:
+    """Decode one event record; ``blobs`` memoizes parsed JSON blobs.
+
+    A blob whose attrs are all scalars is parsed once per file; every
+    event still gets its own ``attrs`` dict.
+    """
     time_ps, corr_id, seq, experiment_index, blob_len = _EVENT_FIXED.unpack_from(
         body
     )
-    blob = json.loads(body[_EVENT_FIXED.size:_EVENT_FIXED.size + blob_len])
+    raw = body[_EVENT_FIXED.size:_EVENT_FIXED.size + blob_len]
+    parsed = blobs.get(raw)
+    if parsed is None:
+        blob = json.loads(raw)
+        parsed = (blob["stage"], blob["node"], blob.get("direction", ""),
+                  blob.get("attrs", {}))
+        if not any(isinstance(v, (list, dict)) for v in parsed[3].values()):
+            blobs[raw] = parsed
     return LifecycleEvent(
         time_ps=time_ps,
-        stage=blob["stage"],
-        node=blob["node"],
-        direction=blob.get("direction", ""),
+        stage=parsed[0],
+        node=parsed[1],
+        direction=parsed[2],
         corr_id=None if corr_id < 0 else corr_id,
         seq=seq,
         experiment_index=experiment_index,
-        attrs=dict(blob.get("attrs", {})),
+        attrs=dict(parsed[3]),
     )

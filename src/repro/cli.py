@@ -968,7 +968,6 @@ def _run_store(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.errors import CampaignError
     from repro.runtime.store import STORE_FILE_NAME, ResultStore
 
     if args.store:
@@ -1000,11 +999,7 @@ def _run_store(args) -> int:
                 )
             return 0
 
-        try:
-            digest = store.resolve(args.campaign)
-        except CampaignError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        digest = store.resolve(args.campaign)
         if digest is None:
             print(f"no stored campaign matches {args.campaign!r}",
                   file=sys.stderr)
@@ -1160,7 +1155,6 @@ def _run_insight(args) -> int:
     """
     from pathlib import Path
 
-    from repro.errors import ConfigurationError
     from repro.insight import InsightStore, analyze_artifacts
 
     if args.insight_command in ("analyze", "report"):
@@ -1234,11 +1228,7 @@ def _run_insight(args) -> int:
                     query, top=args.top, exclude_label=query.label
                 )
             else:
-                try:
-                    results = store.similar(args.label, top=args.top)
-                except ConfigurationError as exc:
-                    print(str(exc), file=sys.stderr)
-                    return 2
+                results = store.similar(args.label, top=args.top)
         if not results:
             print("no stored campaigns to compare against")
             return 0
@@ -1400,10 +1390,22 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     A reader that closes the pipe early (``python -m repro list | head``)
     ends the run quietly instead of with a ``BrokenPipeError`` traceback.
+    A :class:`~repro.errors.CampaignError` or
+    :class:`~repro.errors.ConfigurationError` from any subcommand (a
+    refused resume, a failed experiment, bad input) prints one
+    ``error: <message>`` line on stderr and exits 2.
     """
+    from repro.errors import CampaignError, ConfigurationError
+
     try:
         code = _dispatch(argv)
         sys.stdout.flush()
+    except (CampaignError, ConfigurationError) as exc:
+        # A failed pooled experiment's message carries the worker's
+        # traceback after its first line; the summary line is the error.
+        lines = str(exc).splitlines() or [type(exc).__name__]
+        print(f"error: {lines[0]}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Point stdout at devnull so the interpreter's final flush does
         # not raise a second time on the closed pipe.

@@ -28,21 +28,30 @@ experiment-index order, never completion order — with these rules:
   restart per shard, so shard+span_id is the unique key).
 * ``trace.json`` — regenerated from the concatenated span records so
   the whole campaign loads as one Perfetto timeline.
-* ``capture.rcap`` — re-encoded into one file: experiment markers,
-  capture windows, and lifecycle events get their per-shard experiment
-  index rewritten to the campaign-global index, and each marker gains a
-  ``"shard"`` field naming its source directory.
+* ``capture.rcap`` — one file built by copying records: capture
+  windows and lifecycle events are copied byte for byte except their
+  per-shard experiment index, which is patched to the campaign-global
+  index; experiment markers are re-encoded with the same remap and a
+  ``"shard"`` field naming their source directory.  Per shard the order
+  is markers, then captures, then events; unknown record types are
+  dropped.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
-from repro.capture.format import CaptureWriter, read_capture
+from repro.capture.format import (
+    RECORD_CAPTURE,
+    RECORD_EVENT,
+    RECORD_EXPERIMENT,
+    CaptureWriter,
+    experiment_index_of,
+    scan_records,
+)
 from repro.capture.session import CAPTURE_FILE_NAME
 from repro.telemetry.exporters import (
     parse_spans_jsonl,
@@ -237,63 +246,62 @@ def _merge_captures(
     sources: Sequence[Tuple[int, str, Path]],
     label: str,
 ) -> Path:
-    """Re-encode shard ``.rcap`` files into one campaign capture file."""
+    """Copy shard ``.rcap`` records into one campaign capture file."""
     shards_meta: List[Dict[str, Any]] = []
-    datasets = []
+    shards = []
+    events_dropped = corr_ids_assigned = 0
     for global_index, name, path in sources:
-        data = read_capture(path)
-        datasets.append((global_index, name, data))
+        buf = path.read_bytes()
+        shard_meta, records = scan_records(buf)
+        markers = [json.loads(buf[start:end])
+                   for kind, start, end in records
+                   if kind == RECORD_EXPERIMENT]
+        captures = [buf[start:end] for kind, start, end in records
+                    if kind == RECORD_CAPTURE]
+        events = [buf[start:end] for kind, start, end in records
+                  if kind == RECORD_EVENT]
+        shards.append((global_index, name, markers, captures, events))
         shards_meta.append({
             "index": global_index,
             "name": name,
             "source": str(path.parent.parent.name),
-            "events": len(data.events),
-            "captures": len(data.captures),
+            "events": len(events),
+            "captures": len(captures),
         })
+        events_dropped += shard_meta.get("events_dropped", 0)
+        corr_ids_assigned += shard_meta.get("corr_ids_assigned", 0)
     meta = {
         "label": label,
         "sim_epoch_ps": 0,
         "merged_by": "repro.runtime",
         "shards": shards_meta,
-        "experiments": len(datasets),
-        "events_retained": sum(len(d.events) for _, _, d in datasets),
-        "events_dropped": sum(
-            d.meta.get("events_dropped", 0) for _, _, d in datasets
-        ),
-        "corr_ids_assigned": sum(
-            d.meta.get("corr_ids_assigned", 0) for _, _, d in datasets
-        ),
+        "experiments": len(shards),
+        "events_retained": sum(s["events"] for s in shards_meta),
+        "events_dropped": events_dropped,
+        "corr_ids_assigned": corr_ids_assigned,
     }
     with CaptureWriter(target, meta=meta) as writer:
-        for global_index, name, data in datasets:
+        for global_index, name, markers, captures, events in shards:
             # Per-shard experiment indices restart at 0; remap them to
             # the campaign-global index (one experiment per shard, but
             # the loop tolerates shards carrying several).
             local_indices = sorted(
-                {marker.get("index", 0) for marker in data.experiments}
+                {marker.get("index", 0) for marker in markers}
             ) or [0]
             remap = {
                 local: global_index + offset
                 for offset, local in enumerate(local_indices)
             }
-            for marker in data.experiments:
-                marker = dict(marker)
+            for marker in markers:
                 marker["index"] = remap.get(marker.get("index", 0),
                                             global_index)
                 marker["shard"] = shard_dir(".", global_index, name).name
                 writer.write_experiment(marker)
-            for window in data.captures:
-                writer.write_window(dataclasses.replace(
-                    window,
-                    experiment_index=remap.get(window.experiment_index,
-                                               global_index),
-                ))
-            for event in data.events:
-                writer.write_event(dataclasses.replace(
-                    event,
-                    experiment_index=remap.get(event.experiment_index,
-                                               global_index),
-                ))
+            for kind, bodies in ((RECORD_CAPTURE, captures),
+                                 (RECORD_EVENT, events)):
+                for body in bodies:
+                    writer.copy_record(kind, body, remap.get(
+                        experiment_index_of(kind, body), global_index))
     return target
 
 

@@ -590,8 +590,9 @@ class PooledExecutor(_ExecutorBase):
                             index, payload["name"], ready[index]
                         )
                         if progress is not None:
+                            done = len(self.executed) + len(self.skipped)
                             progress(
-                                f"[{len(ready)}/{total}] finished "
+                                f"[{done}/{total}] finished "
                                 f"{payload['name']}"
                             )
                     elif slot.deadline is not None and now >= slot.deadline:

@@ -1,16 +1,19 @@
 """Round-trip tests for the versioned binary ``.rcap`` format."""
 
 import io
+import json
 import struct
 
 import pytest
 
 from repro.capture.format import (
+    _EVENT_FIXED,
     MAGIC,
     VERSION,
     CaptureWriter,
     pack_symbol,
     read_capture,
+    scan_records,
     unpack_symbol,
 )
 from repro.capture.provenance import LifecycleEvent
@@ -144,3 +147,64 @@ class TestRoundTrip:
         raw = buffer.getvalue()
         with pytest.raises(ConfigurationError):
             read_capture(raw[:-3])
+
+
+class TestEventBlobMemo:
+    """The writer and reader memoize event JSON blobs; neither may show."""
+
+    @staticmethod
+    def _events():
+        def event(**attrs):
+            return LifecycleEvent(time_ps=5, stage="inject", node="fi",
+                                  direction="R", attrs=attrs)
+        # ``True == 1`` and both hash alike: a value-only memo key would
+        # hand the second event the first one's blob.
+        return [
+            event(forced=True, lanes=1),
+            event(forced=1, lanes=True),
+            event(forced=True, lanes=1),
+            event(forced=1.0, lanes=0),
+            event(forced=-0.0, lanes=0),
+            event(forced=0.0, lanes=0),
+            event(forced=None, lanes="1"),
+            event(window=[1, True]),
+            event(window=[1, 1]),
+        ]
+
+    def test_blobs_are_exactly_json_dumps(self):
+        events = self._events()
+        buffer = io.BytesIO()
+        with CaptureWriter(buffer) as writer:
+            for event in events:
+                writer.write_event(event)
+        raw = buffer.getvalue()
+        _, records = scan_records(raw)
+        assert len(records) == len(events)
+        for event, (_, start, end) in zip(events, records):
+            expected = json.dumps(
+                {"stage": event.stage, "node": event.node,
+                 "direction": event.direction, "attrs": event.attrs},
+                sort_keys=True,
+            ).encode("utf-8")
+            assert raw[start + _EVENT_FIXED.size:end] == expected
+
+        decoded = read_capture(raw).events
+        assert decoded[0].attrs["forced"] is True
+        assert type(decoded[1].attrs["forced"]) is int
+        assert decoded[1].attrs["lanes"] is True
+
+    def test_reader_gives_every_event_its_own_attrs(self):
+        twin = LifecycleEvent(time_ps=1, stage="drop", node="pc",
+                              attrs={"reason": "crc", "frame_len": 9})
+        listed = LifecycleEvent(time_ps=2, stage="drop", node="pc",
+                                attrs={"window": [1, 2]})
+        buffer = io.BytesIO()
+        with CaptureWriter(buffer) as writer:
+            for event in (twin, twin, listed, listed):
+                writer.write_event(event)
+        first, second, third, fourth = read_capture(buffer.getvalue()).events
+        assert first == second
+        first.attrs["reason"] = "mutated"
+        assert second.attrs["reason"] == "crc"
+        third.attrs["window"].append(3)
+        assert fourth.attrs["window"] == [1, 2]

@@ -104,6 +104,29 @@ class TestCli:
         assert main(["campaign", "--resume", "--no-progress"]) == 2
         assert "--artifacts-dir" in capsys.readouterr().err
 
+    def test_resume_of_an_edited_campaign_is_one_error_line(self, tmp_path):
+        """A refused resume is a ``CampaignError``: one ``error:`` line on
+        stderr and exit 2, not a traceback."""
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        home = str(tmp_path / "home")
+
+        def campaign(*extra):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "campaign",
+                 "--experiments", "1", "--duration-ms", "1",
+                 "--artifacts-dir", home, "--no-progress", *extra],
+                capture_output=True, text=True,
+                env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+            )
+
+        assert campaign("--seed", "1").returncode == 0
+        resumed = campaign("--seed", "2", "--resume")
+        assert resumed.returncode == 2
+        assert "Traceback" not in resumed.stderr
+        assert resumed.stderr.startswith("error: ")
+        assert "refusing to resume" in resumed.stderr
+        assert len(resumed.stderr.splitlines()) == 1
+
     def test_retired_flags_fail_with_pinned_hint(self, tmp_path, capsys):
         """The PR-4 aliases are retired: exit 2, exact replacement hint.
 

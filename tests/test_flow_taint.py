@@ -175,9 +175,9 @@ def test_flow104_inplace_sort_neutralises(tmp_path):
 
 def test_flow104_pathlib_iterdir(tmp_path):
     findings = taint_findings(tmp_path, """\
-        def manifest(writer, root):
+        def manifest(writer, root, kind):
             entries = [p.name for p in root.iterdir()]
-            writer.write_window({"entries": entries})
+            writer.copy_record(kind, b"".join(entries), 0)
         """)
     assert rule_ids(findings) == ["FLOW104"]
 

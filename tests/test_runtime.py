@@ -12,6 +12,7 @@ The contract under test is the one docs/runtime.md promises:
   killed by the wall-clock timeout.
 """
 
+import dataclasses
 import json
 import pickle
 
@@ -310,6 +311,22 @@ class TestJournalResume:
             Campaign.from_spec(tiny_spec(n=1)).run(
                 executor=SerialExecutor(resume=True)
             )
+
+
+class TestPooledProgress:
+    def test_finished_counter_counts_completions_out_of_order(self):
+        """Experiment 1 hangs, so 0, 2 and 3 finish before it; the
+        ``[k/N] finished`` counter still reads 1..N in order."""
+        specs = list(tiny_spec(n=4).experiments)
+        specs[1] = dataclasses.replace(specs[1], params={HANG_PARAM: 2.0})
+        spec = CampaignSpec.build("out of order", specs)
+        lines = []
+        Campaign.from_spec(spec, on_progress=lines.append).run(
+            executor=PooledExecutor(workers=2))
+        finished = [line for line in lines if "] finished " in line]
+        assert finished[-1].endswith("run-1")
+        counters = [int(line[1:line.index("/")]) for line in finished]
+        assert counters == [1, 2, 3, 4]
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,8 @@ from repro.telemetry import (
     TelemetrySession,
     parse_spans_jsonl,
 )
+from repro.telemetry import instrument
+from repro.telemetry.metrics import LATENCY_NS_BUCKETS
 from repro.telemetry.state import STATE
 
 
@@ -56,6 +58,50 @@ def _run_small_experiment(session_kwargs=None):
     with session:
         result = experiment.run()
     return session, result
+
+
+def _unbound_device_burst(registry, device, direction, symbols_in,
+                          symbols_out):
+    """Reference for ``instrument.device_burst``: every series looked up
+    by name and labels on every burst, nothing kept between bursts."""
+    registry.counter("device.bursts", direction=direction).inc()
+    registry.counter("device.symbols_in", direction=direction).inc(symbols_in)
+    registry.counter("device.symbols_out", direction=direction).inc(
+        symbols_out)
+    fifo = device.injector(direction).fifo
+    registry.gauge("device.fifo.depth", direction=direction).set(
+        fifo.occupancy)
+    registry.gauge("device.fifo.high_watermark", direction=direction).set(
+        fifo.high_watermark)
+    registry.histogram(
+        "device.added_latency_ns", buckets=LATENCY_NS_BUCKETS
+    ).observe((device.pipeline_latency_ps
+               + symbols_out * device._char_period_ps) / 1_000.0)
+
+
+class TestBoundDeviceHandles:
+    def test_two_sessions_match_unbound_lookups(self, tmp_path):
+        """One device outlives two sessions: the second session's bursts
+        land in its own registry, and each metrics.json carries exactly
+        the series unbound per-burst lookups would have written."""
+        from repro.core.device import FaultInjectorDevice
+        from repro.sim.kernel import Simulator
+
+        device = FaultInjectorDevice(Simulator())
+        bursts = [("R", 12, 12), ("L", 40, 38), ("R", 3, 0), ("L", 7, 7)]
+        for round_index in range(2):
+            reference = MetricsRegistry()
+            out = tmp_path / f"session-{round_index}"
+            with TelemetrySession(out_dir=out):
+                for direction, sym_in, sym_out in bursts[round_index:]:
+                    instrument.device_burst(device, direction, sym_in,
+                                            sym_out)
+                    _unbound_device_burst(reference, device, direction,
+                                          sym_in, sym_out)
+            written = json.loads((out / "metrics.json").read_text())
+            device_series = [entry for entry in written["metrics"]["series"]
+                             if entry["name"].startswith("device.")]
+            assert device_series == reference.to_dict()["series"]
 
 
 class TestInstrumentedExperiment:
